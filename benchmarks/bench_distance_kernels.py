@@ -37,7 +37,7 @@ from repro.distance.matrix import DistanceMatrix, InternedDistanceStore
 from repro.graph.compiled import CompiledGraph, compile_graph
 from repro.graph.generators import random_data_graph
 from repro.graph.pattern_generator import PatternGenerator
-from repro.matching.bounded import match
+from repro.matching.bounded import match, naive_match
 
 NUM_NODES = 1000
 NUM_EDGES = 3000
@@ -145,8 +145,8 @@ def test_bench_full_matrix_build(benchmark, setup):
     graph, _ = setup
 
     def legacy_run():
-        # The seed path of IncrementalMatcher._pin_snapshot: dict BFS per
-        # node, then re-key every finite pair into the interned store.
+        # Dict BFS per node, then re-key every finite pair into the
+        # interned store.
         matrix = DistanceMatrix(graph)
         return InternedDistanceStore.from_matrix(matrix, compile_graph(graph))
 
@@ -178,9 +178,9 @@ def test_bench_match_precompute_end_to_end(benchmark, setup):
     benchmark.pedantic(compiled_run, rounds=3, iterations=1)
     # Results must be identical before the times mean anything.
     for pattern in patterns:
-        assert match(pattern, graph) == match(
-            pattern, graph, DistanceMatrix(graph), use_compiled=False
-        )
+        expected = naive_match(pattern, graph)
+        assert match(pattern, graph) == expected
+        assert match(pattern, graph, DistanceMatrix(graph)) == expected
     legacy_s = best_of(legacy_run, repeats=2)
     compiled_s = best_of(compiled_run, repeats=3)
     speedup = _record(benchmark, "match_precompute", legacy_s, compiled_s)

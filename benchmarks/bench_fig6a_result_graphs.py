@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from conftest import record_default_match_ratio, run_once
+from conftest import run_once
 
 from repro.experiments import result_graph_experiment
 
 
 def test_fig6a_result_graphs(benchmark, report):
     record = run_once(benchmark, result_graph_experiment, scale=0.05, seed=7)
-    record_default_match_ratio(benchmark, scale=0.05, seed=7)
     report(record)
     matched = [row for row in record.rows if row["matched"]]
     # Paper shape: the sample patterns identify communities, one pattern node

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import record_default_match_ratio, run_once
+from conftest import run_once
 
 from repro.experiments import match_vs_vf2_experiment
 
@@ -15,7 +15,6 @@ def test_fig6b_match_vs_vf2_time(benchmark, report):
         seed=7,
         patterns_per_spec=2,
     )
-    record_default_match_ratio(benchmark, scale=0.04, seed=7)
     report(record)
     assert len(record.rows) == 6
     # Paper shape: the matching process (matrix excluded) is faster than VF2

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import record_default_match_ratio, run_once
+from conftest import run_once
 
 from repro.experiments import match_vs_vf2_experiment
 
@@ -15,7 +15,6 @@ def test_fig6c_match_vs_vf2_matches(benchmark, report):
         seed=11,
         patterns_per_spec=2,
     )
-    record_default_match_ratio(benchmark, scale=0.04, seed=11)
     report(record)
     # Paper shape: Match finds (many) more distinct matches than VF2 in all cases.
     assert all(row["match_matches"] >= row["vf2_matches"] for row in record.rows)

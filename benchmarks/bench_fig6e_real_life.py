@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import record_default_match_ratio, run_once
+from conftest import run_once
 
 from repro.experiments import real_life_efficiency_experiment
 
@@ -15,7 +15,6 @@ def test_fig6e_real_life_datasets(benchmark, report):
         seed=17,
         patterns_per_spec=2,
     )
-    record_default_match_ratio(benchmark, scale=0.04, seed=17)
     report(record)
     assert len(record.rows) == 6  # 3 datasets x 2 pattern sizes
     # Paper shape, transposed to the compiled engine: the precomputed-index

@@ -1,12 +1,11 @@
-"""Legacy-vs-compiled benchmark of the incremental engine (not a paper figure).
+"""Benchmark of the incremental engine on update streams (not a paper figure).
 
-This is the acceptance gate of the compiled-incremental refactor, mirroring
-the ``bench_core_operations`` gate of the compiled batch matcher: it replays
-a Fig. 6(i)-style mixed update stream (the workload of
-``incremental_batch_experiment``) through ``IncrementalMatcher`` in both
-modes and records the legacy-over-compiled ratio in ``extra_info``.  The
-compiled engine must be at least 3x faster end to end — snapshot patching,
-interned ``UpdateBM`` repair and bitset propagation included.
+Replays a Fig. 6(i)-style mixed update stream (the workload of
+``incremental_batch_experiment``) and Fig. 6(j)/(k)-style unit streams
+through ``IncrementalMatcher`` and records the wall clock of ``apply`` —
+snapshot patching, interned ``UpdateBM`` repair and bitset propagation
+included.  Each run checks the maintained match against a fresh session's
+match of the updated graph.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import pytest
 
 from repro.graph.pattern_generator import PatternGenerator
 from repro.datasets import youtube_graph
+from repro.engine.session import MatchSession
 from repro.matching.incremental import IncrementalMatcher
 from repro.workloads.updates import mixed_updates, random_deletions, random_insertions
 
@@ -35,61 +35,40 @@ def setup():
     return graph, pattern, updates
 
 
-def _best_apply_seconds(graph, pattern, updates, *, use_compiled, repeats=3):
+def _best_apply_seconds(graph, pattern, updates, repeats=3):
     """Best-of-*repeats* wall clock of one apply() on a fresh matcher.
 
-    Matcher construction (matrix build + initial fixpoint) happens outside
-    the timed region: the gate measures the update-stream hot path.
+    Matcher construction (store build + initial fixpoint) happens outside
+    the timed region: the measurement is the update-stream hot path.
+    Returns the time and the last run's matcher.
     """
     best = float("inf")
-    result = None
+    matcher = None
     for _ in range(repeats):
-        matcher = IncrementalMatcher(pattern, graph.copy(), use_compiled=use_compiled)
+        matcher = IncrementalMatcher(pattern, graph.copy())
         start = time.perf_counter()
-        area = matcher.apply(updates)
+        matcher.apply(updates)
         best = min(best, time.perf_counter() - start)
-        result = (matcher.match, area)
-    return best, result
+    return best, matcher
+
+
+def _record_stream(benchmark, graph, pattern, updates, stream: str) -> None:
+    def make():
+        return (IncrementalMatcher(pattern, graph.copy()),), {}
+
+    benchmark.pedantic(lambda m: m.apply(updates), setup=make, rounds=3)
+    seconds, matcher = _best_apply_seconds(graph, pattern, updates)
+    benchmark.extra_info["compiled_apply_s"] = round(seconds, 6)
+    benchmark.extra_info["stream"] = stream
+    assert matcher.match == MatchSession(matcher.graph.copy()).match(pattern)
 
 
 def test_bench_incremental_compiled_stream(benchmark, setup):
-    """The compiled engine on the mixed stream; extra_info records the ratio."""
+    """The mixed stream of Fig. 6(i)."""
     graph, pattern, updates = setup
-
-    def make():
-        return (IncrementalMatcher(pattern, graph.copy(), use_compiled=True),), {}
-
-    benchmark.pedantic(lambda m: m.apply(updates), setup=make, rounds=3)
-
-    legacy_s, (legacy_match, legacy_area) = _best_apply_seconds(
-        graph, pattern, updates, use_compiled=False
+    _record_stream(
+        benchmark, graph, pattern, updates, f"mixed |delta|={STREAM_SIZE} scale={SCALE}"
     )
-    compiled_s, (compiled_match, compiled_area) = _best_apply_seconds(
-        graph, pattern, updates, use_compiled=True
-    )
-    speedup = legacy_s / compiled_s if compiled_s else float("inf")
-    benchmark.extra_info["legacy_apply_s"] = round(legacy_s, 6)
-    benchmark.extra_info["compiled_apply_s"] = round(compiled_s, 6)
-    benchmark.extra_info["incremental_speedup_old_over_new"] = round(speedup, 2)
-    benchmark.extra_info["stream"] = f"mixed |delta|={STREAM_SIZE} scale={SCALE}"
-
-    # The two engines must be observationally identical ...
-    assert compiled_match == legacy_match
-    assert compiled_area.distance_changes == legacy_area.distance_changes
-    assert compiled_area.removed_matches == legacy_area.removed_matches
-    assert compiled_area.added_matches == legacy_area.added_matches
-    # ... and the compiled one must clear the acceptance gate.
-    assert speedup >= 3.0, f"compiled incremental only {speedup:.1f}x faster than legacy"
-
-
-def test_bench_incremental_legacy_stream(benchmark, setup):
-    """The seed set/dict engine, kept as the old-vs-new baseline row."""
-    graph, pattern, updates = setup
-
-    def make():
-        return (IncrementalMatcher(pattern, graph.copy(), use_compiled=False),), {}
-
-    benchmark.pedantic(lambda m: m.apply(updates), setup=make, rounds=3)
 
 
 @pytest.mark.parametrize(
@@ -100,25 +79,12 @@ def test_bench_incremental_legacy_stream(benchmark, setup):
     ],
 )
 def test_bench_incremental_compiled_unit_streams(benchmark, setup, workload_name, build):
-    """Fig. 6(j)/(k)-style unit streams: ratio recorded, no hard gate."""
+    """Fig. 6(j)/(k)-style unit streams."""
     graph, pattern, _ = setup
-    updates = build(graph)
-
-    def make():
-        return (IncrementalMatcher(pattern, graph.copy(), use_compiled=True),), {}
-
-    benchmark.pedantic(lambda m: m.apply(updates), setup=make, rounds=3)
-
-    legacy_s, (legacy_match, _) = _best_apply_seconds(
-        graph, pattern, updates, use_compiled=False
+    _record_stream(
+        benchmark,
+        graph,
+        pattern,
+        build(graph),
+        f"{workload_name} |delta|=100 scale={SCALE}",
     )
-    compiled_s, (compiled_match, _) = _best_apply_seconds(
-        graph, pattern, updates, use_compiled=True
-    )
-    assert compiled_match == legacy_match
-    benchmark.extra_info["legacy_apply_s"] = round(legacy_s, 6)
-    benchmark.extra_info["compiled_apply_s"] = round(compiled_s, 6)
-    benchmark.extra_info["incremental_speedup_old_over_new"] = round(
-        legacy_s / compiled_s if compiled_s else float("inf"), 2
-    )
-    benchmark.extra_info["stream"] = f"{workload_name} |delta|=100 scale={SCALE}"

@@ -36,47 +36,6 @@ def best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-def record_match_ratio(benchmark, pattern, graph, oracle=None, repeats: int = 3) -> float:
-    """Time the legacy set-based vs compiled bitset bounded match and attach
-    the old-vs-new ratio to the benchmark's ``extra_info`` (shown in the
-    pytest-benchmark JSON/compare output).  Returns the speedup factor."""
-    from repro.distance.matrix import DistanceMatrix
-    from repro.matching.bounded import match
-
-    if oracle is None:
-        # Build the oracle outside the timed region: both paths must measure
-        # the refinement, not the all-pairs matrix construction.
-        oracle = DistanceMatrix(graph)
-    legacy_s = best_of(lambda: match(pattern, graph, oracle, use_compiled=False), repeats)
-    compiled_s = best_of(lambda: match(pattern, graph, oracle), repeats)
-    benchmark.extra_info["legacy_match_s"] = round(legacy_s, 6)
-    benchmark.extra_info["compiled_match_s"] = round(compiled_s, 6)
-    speedup = legacy_s / compiled_s if compiled_s else float("inf")
-    benchmark.extra_info["match_speedup_old_over_new"] = round(speedup, 2)
-    return speedup
-
-
-def record_default_match_ratio(benchmark, *, scale: float = 0.03, seed: int = 41) -> float:
-    """``record_match_ratio`` on a standard YouTube workload (fig-6 wiring).
-
-    Note: this is a *side measurement* on the YouTube synthetic graph at the
-    given scale/seed, recorded next to whatever the benchmark itself measures;
-    the ``match_ratio_workload`` key names the workload the ratio comes from.
-    """
-    from repro.datasets import youtube_graph
-    from repro.distance.matrix import DistanceMatrix
-    from repro.graph.pattern_generator import PatternGenerator
-
-    benchmark.extra_info["match_ratio_workload"] = (
-        f"youtube-synthetic scale={scale} seed={seed} pattern=(4,4,3)"
-    )
-    graph = youtube_graph(scale=scale, seed=seed)
-    oracle = DistanceMatrix(graph)
-    generator = PatternGenerator(graph, seed=seed, predicate_attributes=("category",))
-    pattern = generator.generate_dag(4, 4, 3)
-    return record_match_ratio(benchmark, pattern, graph, oracle)
-
-
 @pytest.fixture
 def report(capsys):
     """Print an ExperimentRecord table outside of pytest's capture."""

@@ -54,9 +54,6 @@ from repro.distance import (
     DistanceOracle,
     EdgeUpdate,
     TwoHopOracle,
-    update_matrix_batch,
-    update_matrix_delete,
-    update_matrix_insert,
 )
 from repro.graph import (
     UNBOUNDED,
@@ -95,7 +92,6 @@ from repro.matching import (
     graph_simulation,
     match,
     match_colored,
-    matches,
 )
 
 __version__ = "1.0.0"
@@ -134,15 +130,11 @@ __all__ = [
     "BFSDistanceOracle",
     "TwoHopOracle",
     "EdgeUpdate",
-    "update_matrix_insert",
-    "update_matrix_delete",
-    "update_matrix_batch",
     # engine
     "MatchSession",
     "QueryPlan",
     # matching
     "match",
-    "matches",
     "match_colored",
     "graph_simulation",
     "MatchResult",

@@ -10,7 +10,6 @@ and CI logs):
 ``patch-listener``        snapshot-derived caches must subscribe or version
 ``shared-readonly``       attach_shared worker paths must not mutate snapshots
 ``decode-boundary``       public surfaces must not leak interned-id bitsets
-``no-deprecated-internal``no internal calls to deprecated shims
 ========================  ====================================================
 """
 
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 from repro.analysis.checkers import (  # noqa: F401
     decode_boundary,
-    no_deprecated,
     patch_listener,
     shared_readonly,
     version_guard,
@@ -26,7 +24,6 @@ from repro.analysis.checkers import (  # noqa: F401
 
 __all__ = [
     "decode_boundary",
-    "no_deprecated",
     "patch_listener",
     "shared_readonly",
     "version_guard",

@@ -89,7 +89,6 @@ RULE_ORDER = (
     "patch-listener",
     "shared-readonly",
     "decode-boundary",
-    "no-deprecated-internal",
     "suppression",
 )
 

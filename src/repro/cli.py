@@ -36,16 +36,15 @@ Subcommands
     ``table-datasets``, ``appendix-stats``) or ``all``.
 
 ``incremental``
-    Replay a JSON update stream (``IncMatch``) against a graph + pattern,
-    with the compiled bitset engine or the legacy set-based engine, and
-    report the affected areas and elapsed time per batch.
+    Replay a JSON update stream (``IncMatch``) against a graph + pattern
+    and report the affected areas and elapsed time per batch.
 
 ``lint``
     Run the project's invariant analyzer (:mod:`repro.analysis`) over
     source paths: snapshot-version guards on memo reads, patch-listener
-    registration, shared read-only discipline, decode-at-the-boundary and
-    deprecated-shim usage.  ``--format json`` emits a machine-readable
-    report; the exit code is non-zero when findings remain.
+    registration, shared read-only discipline and decode-at-the-boundary.
+    ``--format json`` emits a machine-readable report; the exit code is
+    non-zero when findings remain.
 
 ``chaos``
     Run the seeded fault-injection equivalence suite
@@ -70,7 +69,7 @@ Examples
         --q "(a:News)->(b)"
     python -m repro experiment fig9
     python -m repro incremental --graph youtube.json --pattern pattern.json \\
-        --updates delta.json --engine compiled --batch-size 50
+        --updates delta.json --batch-size 50
 """
 
 from __future__ import annotations
@@ -163,10 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_parser.add_argument(
         "--parallel",
-        choices=["auto", "pool", "fork", "serial"],
+        choices=["auto", "pool", "serial"],
         default="auto",
-        help="batch execution: persistent worker pool ('pool'; 'fork' is a "
-        "legacy alias), serial, or size-based auto (default)",
+        help="batch execution: persistent worker pool, serial, or size-based "
+        "auto (default)",
     )
     query_parser.add_argument(
         "--workers",
@@ -219,12 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
             "JSON update stream: a list of {\"op\": \"insert\"|\"delete\", "
             "\"source\": ..., \"target\": ...} objects, applied in order"
         ),
-    )
-    incremental_parser.add_argument(
-        "--engine",
-        choices=["compiled", "legacy"],
-        default="compiled",
-        help="compiled bitset engine (default) or the legacy set-based engine",
     )
     incremental_parser.add_argument(
         "--batch-size",
@@ -391,7 +384,7 @@ def _command_query(args: argparse.Namespace) -> int:
     ]
     if not patterns:
         raise SystemExit("query: provide at least one --patterns file or --q string")
-    parallel = {"auto": None, "pool": True, "fork": True, "serial": False}[
+    parallel = {"auto": None, "pool": True, "serial": False}[
         args.parallel
     ]
     handle = GraphHandle(graph)
@@ -515,12 +508,7 @@ def _command_incremental(args: argparse.Namespace) -> int:
     graph = load_graph_json(args.graph)
     pattern = load_pattern_json(args.pattern)
     updates = _load_updates(args.updates)
-    matcher = IncrementalMatcher(
-        pattern,
-        graph,
-        on_cyclic=args.on_cyclic,
-        use_compiled=args.engine == "compiled",
-    )
+    matcher = IncrementalMatcher(pattern, graph, on_cyclic=args.on_cyclic)
     batches = (
         split_batches(updates, args.batch_size) if args.batch_size > 0 else [updates]
     )
@@ -539,7 +527,6 @@ def _command_incremental(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "engine": args.engine,
                     "batches": report,
                     "total_seconds": round(total_seconds, 4),
                     "match_pairs": len(result),
@@ -557,7 +544,7 @@ def _command_incremental(args: argparse.Namespace) -> int:
                 f"(+{row['added']}/-{row['removed']})"
             )
         print(
-            f"{args.engine} engine: {len(batches)} batch(es), "
+            f"{len(batches)} batch(es), "
             f"{total_seconds:.4f}s total; final match: {len(result)} pairs"
         )
     return 0 if result else 1

@@ -17,10 +17,9 @@ identical answers (the equivalence suites assert it):
 
 :class:`~repro.distance.matrix.DistanceMatrix`
     The paper's precomputed matrix ``M`` — one BFS per node, O(1) lookups,
-    ``O(|V|^2)`` memory.  Required by the incremental repair procedures
-    (``UpdateM``/``UpdateBM`` mutate it in place) and still the right call
-    when *every* pair will be queried many times.  ``refresh()`` builds rows
-    only; columns materialise lazily per sink.
+    ``O(|V|^2)`` memory.  The paper's Exp-2 ``Match`` baseline, and still
+    the right call when *every* pair will be queried many times.
+    ``refresh()`` builds rows only; columns materialise lazily per sink.
 
 :class:`~repro.distance.bfs.BFSDistanceOracle`
     On-demand memoised BFS — no precompute at all.  The paper's ``BFS``
@@ -35,10 +34,10 @@ identical answers (the equivalence suites assert it):
 
 Staleness/epoch rules: every oracle watches its graph's ``version`` counter
 and drops derived state when it moves (``DistanceMatrix`` requires an
-explicit ``refresh()`` or an incremental repair, by contract).  Bitset
-queries additionally check that the snapshot they are handed was compiled
-from the oracle's graph at the current version; anything else falls back to
-a slow, correct path.  All bitset memos share the size-capped
+explicit ``refresh()``, by contract).  Bitset queries additionally check
+that the snapshot they are handed was compiled from the oracle's graph at
+the current version; anything else falls back to a slow, correct path.  All
+bitset memos share the size-capped
 :class:`~repro.distance.oracle.BoundedBitsCache` LRU.
 
 For IncMatch, :func:`~repro.distance.incremental.build_store` (or
@@ -54,11 +53,7 @@ from repro.distance.incremental import (
     EdgeUpdate,
     apply_updates,
     build_store,
-    merge_affected,
     merge_affected_into,
-    update_matrix_batch,
-    update_matrix_delete,
-    update_matrix_insert,
     update_store_batch,
     update_store_delete,
     update_store_insert,
@@ -84,13 +79,9 @@ __all__ = [
     "EdgeUpdate",
     "AffectedPairs",
     "build_store",
-    "update_matrix_insert",
-    "update_matrix_delete",
-    "update_matrix_batch",
     "update_store_insert",
     "update_store_delete",
     "update_store_batch",
-    "merge_affected",
     "merge_affected_into",
     "apply_updates",
 ]

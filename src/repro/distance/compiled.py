@@ -26,11 +26,11 @@ this module keeps the whole hot path in interned-id/array space:
   refinement it computes balls only for live candidates instead of all
   ``|V|^2`` pairs.
 
-The legacy oracles stay available for the paper's Exp-2 comparisons and for
-the incremental procedures (``UpdateM`` repairs a fully materialised ``M``);
-:meth:`CompiledDistanceMatrix.to_store` hands a fully populated
-:class:`~repro.distance.matrix.InternedDistanceStore` to the IncMatch
-machinery when one is needed.
+The matrix, BFS and 2-hop oracles stay available for the paper's Exp-2
+comparisons.  The incremental procedures (``UpdateM`` repairs a fully
+materialised ``M``) get theirs from :meth:`CompiledDistanceMatrix.to_store`
+or :func:`~repro.distance.incremental.build_store`, which fill an
+:class:`~repro.distance.matrix.InternedDistanceStore` with the flat kernel.
 """
 
 from __future__ import annotations

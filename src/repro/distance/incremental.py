@@ -1,4 +1,4 @@
-"""Incremental maintenance of the all-pairs distance matrix.
+"""Incremental maintenance of the all-pairs distance matrix ``M``.
 
 Section 4 of the paper relies on two procedures:
 
@@ -8,49 +8,40 @@ Section 4 of the paper relies on two procedures:
 * ``UpdateBM`` — the batch counterpart for a list ``δ`` of updates (an
   extension of the SWSF-FP algorithm of Ramalingam & Reps).
 
-The implementations below operate on :class:`repro.distance.matrix.DistanceMatrix`
-*and* the underlying graph: the edge change is applied to the graph and the
-matrix is repaired in place.  Each call returns a mapping
+Both run on the compiled substrate of the incremental matcher: the
+distances live in an :class:`~repro.distance.matrix.InternedDistanceStore`
+keyed by the dense integer ids of a pinned
+:class:`~repro.graph.compiled.CompiledGraph` (built by :func:`build_store`),
+adjacency comes from the snapshot's CSR arrays (plus its patch overlay), and
+each edge update mutates the graph and *patches* the snapshot instead of
+forcing a recompile.  Each call returns a mapping
 
     ``{(source, sink): (old_distance, new_distance)}``
 
-— exactly the paper's ``AFF1`` — which the incremental matching algorithms
-consume.  Distances use :data:`repro.distance.oracle.INF` for "unreachable".
+over interned ids — exactly the paper's ``AFF1``, decoded at the
+:class:`~repro.matching.affected.AffectedArea` boundary.  Distances use
+:data:`repro.distance.oracle.INF` for "unreachable".
 
 The deletion repair is the standard two-phase affected-only procedure: the
 first phase identifies, per affected sink, the sources whose *every* old
 shortest path used the deleted edge; the second phase re-settles exactly
 those sources with a Dijkstra-style priority queue seeded from unaffected
 neighbours.  The insertion repair uses the classic
-``d(x, y) <- min(d(x, y), d(x, s) + 1 + d(t, y))`` relaxation restricted to
-ancestors of ``s`` × descendants of ``t``.
-
-Compiled counterparts
----------------------
-The ``update_store_*`` functions are the same procedures ported onto the
-compiled substrate used by ``IncrementalMatcher(use_compiled=True)``: the
-distances live in an
-:class:`~repro.distance.matrix.InternedDistanceStore` keyed by the dense
-integer ids of a pinned :class:`~repro.graph.compiled.CompiledGraph`,
-adjacency comes from the snapshot's CSR arrays (plus its patch overlay), and
-each edge update *patches* the snapshot instead of forcing a recompile.  The
-insertion relaxation additionally applies the two-sided Ramalingam–Reps
-restriction — only sources whose distance to the edge tail's head improves
-(``d(x, s) + 1 < d(x, t)``) are relaxed, mirroring the existing sink-side
-restriction — which is a pure pruning: skipped pairs provably cannot
-improve.  Both variants return the exact same ``AFF1`` (the compiled one in
-interned ids, decoded at the :class:`~repro.matching.affected.AffectedArea`
-boundary).
+``d(x, y) <- min(d(x, y), d(x, s) + 1 + d(t, y))`` relaxation with the
+two-sided Ramalingam–Reps restriction: only sinks whose distance from the
+edge tail improves (``d(t, y) + 1 < d(s, y)``) and only sources whose
+distance to the edge head improves (``d(x, s) + 1 < d(x, t)``) are relaxed —
+a pure pruning, since skipped pairs provably cannot improve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.exceptions import DistanceOracleError
 from repro.graph.datagraph import DataGraph, NodeId
-from repro.distance.matrix import DistanceMatrix, InternedDistanceStore
+from repro.distance.matrix import InternedDistanceStore
 from repro.distance.oracle import INF
 from repro.utils.priority_queue import AddressablePriorityQueue
 
@@ -61,13 +52,9 @@ __all__ = [
     "EdgeUpdate",
     "AffectedPairs",
     "build_store",
-    "update_matrix_insert",
-    "update_matrix_delete",
-    "update_matrix_batch",
     "update_store_insert",
     "update_store_delete",
     "update_store_batch",
-    "merge_affected",
     "merge_affected_into",
     "apply_updates",
 ]
@@ -128,12 +115,11 @@ def build_store(compiled: "CompiledGraph") -> InternedDistanceStore:
     """Build a fully populated :class:`InternedDistanceStore` from *compiled*.
 
     The ``update_store_*`` repair procedures need a complete matrix ``M`` to
-    start from.  The legacy route builds a :class:`DistanceMatrix` (one
-    dict-based BFS per node over the :class:`DataGraph`) and re-keys it with
-    :meth:`InternedDistanceStore.from_matrix`; this one runs the snapshot's
-    flat BFS kernel once per node and fills the interned rows/columns
-    directly, skipping the NodeId-keyed intermediate entirely.  Both produce
-    identical stores (the equivalence suite asserts it).
+    start from.  This runs the snapshot's flat BFS kernel once per node
+    (patch overlay included) and fills the interned rows/columns directly.
+    It produces the same store as re-keying a :class:`DistanceMatrix` with
+    :meth:`InternedDistanceStore.from_matrix` (the equivalence suite
+    asserts it), without the NodeId-keyed intermediate.
     """
     store = InternedDistanceStore(compiled)
     kernel = compiled.flat_kernel()
@@ -149,242 +135,19 @@ def build_store(compiled: "CompiledGraph") -> InternedDistanceStore:
 
 
 # ----------------------------------------------------------------------
-# UpdateM — edge insertion
+# AFF1 netting
 # ----------------------------------------------------------------------
-
-def update_matrix_insert(
-    matrix: DistanceMatrix, source: NodeId, target: NodeId
-) -> AffectedPairs:
-    """Insert edge ``(source, target)`` into the graph and repair *matrix*.
-
-    Returns the affected pairs ``AFF1``.  Inserting an edge that already
-    exists is a no-op and returns an empty mapping.
-    """
-    graph = matrix.graph
-    if not graph.has_node(source) or not graph.has_node(target):
-        raise DistanceOracleError(
-            f"cannot insert edge ({source!r}, {target!r}): unknown endpoint"
-        )
-    if graph.has_edge(source, target):
-        return {}
-    graph.add_edge(source, target)
-    matrix.ensure_node(source)
-    matrix.ensure_node(target)
-
-    affected: AffectedPairs = {}
-    # Every new shortest path created by the edge decomposes as
-    # x ->* source -> target ->* y.  A sink y can only be affected (for any
-    # source) when the distance from `source` itself improves, i.e. when
-    # 1 + dist(target, y) < dist(source, y); restricting the relaxation to
-    # those sinks keeps the cost proportional to the affected area
-    # (|ancestors(source)| x |affected sinks|) rather than to
-    # |ancestors| x |descendants|.
-    source_row = matrix.row(source)
-    into_source = list(matrix.column(source).items())   # (x, dist(x, source))
-    affected_sinks = [
-        (y, dist_from_target)
-        for y, dist_from_target in matrix.row(target).items()
-        if dist_from_target + 1 < source_row.get(y, INF)
-    ]
-    for y, dist_from_target in affected_sinks:
-        column_y = matrix.column(y)
-        for x, dist_to_source in into_source:
-            candidate = dist_to_source + 1 + dist_from_target
-            old = column_y.get(x, INF)
-            if candidate < old:
-                affected[(x, y)] = (old, candidate)
-                matrix.set_distance(x, y, candidate)
-    matrix.mark_synchronized()
-    return affected
-
-
-# ----------------------------------------------------------------------
-# UpdateM — edge deletion
-# ----------------------------------------------------------------------
-
-def update_matrix_delete(
-    matrix: DistanceMatrix, source: NodeId, target: NodeId
-) -> AffectedPairs:
-    """Delete edge ``(source, target)`` from the graph and repair *matrix*.
-
-    Returns the affected pairs ``AFF1``.  Deleting a missing edge is a no-op.
-    """
-    graph = matrix.graph
-    if not graph.has_node(source) or not graph.has_node(target):
-        raise DistanceOracleError(
-            f"cannot delete edge ({source!r}, {target!r}): unknown endpoint"
-        )
-    if not graph.has_edge(source, target):
-        return {}
-    graph.remove_edge(source, target)
-
-    affected: AffectedPairs = {}
-    # Candidate affected sinks: the deleted edge lay on a shortest path from
-    # `source` to y, i.e. dist(source, y) == 1 + dist(target, y).
-    source_row = dict(matrix.row(source))
-    target_row = dict(matrix.row(target))
-    candidate_sinks = [
-        y
-        for y, dist_from_target in target_row.items()
-        if source_row.get(y, INF) == dist_from_target + 1
-    ]
-    for sink in candidate_sinks:
-        _repair_sink_after_deletion(matrix, sink, source, affected)
-    matrix.mark_synchronized()
-    return affected
-
-
-def _repair_sink_after_deletion(
-    matrix: DistanceMatrix, sink: NodeId, edge_tail: NodeId, affected: AffectedPairs
-) -> None:
-    """Two-phase repair of the distances into *sink* after an edge deletion.
-
-    Phase 1 collects the set of sources whose *every* old shortest path to
-    *sink* used the deleted edge (those are exactly the sources whose
-    distance changes); phase 2 re-settles them from unaffected neighbours
-    with a Dijkstra-style priority queue.  Only affected entries and their
-    immediate frontier are touched — the Ramalingam–Reps bounded behaviour.
-
-    The deleted edge must already be removed from the graph; the matrix must
-    still hold the pre-deletion distances for this sink.
-    """
-    graph = matrix.graph
-    column = matrix.column(sink)  # live dict: old distances into sink
-
-    def old_distance(node: NodeId) -> float:
-        if node == sink:
-            return 0
-        return column.get(node, INF)
-
-    affected_sources: Set[NodeId] = set()
-
-    def is_unsupported(node: NodeId) -> bool:
-        """No successor outside the affected set still certifies the old distance."""
-        current = old_distance(node)
-        if current == INF or node == sink:
-            return False
-        for succ in graph.successors(node):
-            if succ in affected_sources:
-                continue
-            if old_distance(succ) + 1 <= current:
-                return False
-        return True
-
-    # ---- Phase 1: grow the affected set outwards from the edge tail ----
-    # Only the tail of the deleted edge can lose support directly (every
-    # other node's adjacency and successor distances are unchanged); any
-    # other node becomes affected only if all of its shortest-path
-    # successors are affected.
-    worklist: List[NodeId] = []
-    if edge_tail != sink and is_unsupported(edge_tail):
-        affected_sources.add(edge_tail)
-        worklist.append(edge_tail)
-
-    index = 0
-    while index < len(worklist):
-        node = worklist[index]
-        index += 1
-        for pred in graph.predecessors(node):
-            if pred in affected_sources or pred == sink:
-                continue
-            # Only predecessors whose shortest path went through `node` can
-            # become unsupported.
-            if old_distance(pred) != old_distance(node) + 1:
-                continue
-            if is_unsupported(pred):
-                affected_sources.add(pred)
-                worklist.append(pred)
-
-    if not affected_sources:
-        return
-
-    # ---- Phase 2: re-settle affected sources ---------------------------
-    old_values = {node: old_distance(node) for node in affected_sources}
-    queue = AddressablePriorityQueue()
-    for node in affected_sources:
-        best = INF
-        for succ in graph.successors(node):
-            if succ in affected_sources:
-                continue
-            support = old_distance(succ)
-            if support == INF:
-                continue
-            if support + 1 < best:
-                best = support + 1
-        if best < INF:
-            queue.push(node, best)
-
-    settled: Dict[NodeId, float] = {}
-    while not queue.empty():
-        node, dist = queue.pop()
-        settled[node] = dist
-        for pred in graph.predecessors(node):
-            if pred in affected_sources and pred not in settled:
-                queue.push_if_smaller(pred, dist + 1)
-
-    for node in affected_sources:
-        new_value = settled.get(node, INF)
-        old_value = old_values[node]
-        if new_value != old_value:
-            affected[(node, sink)] = (old_value, new_value)
-            matrix.set_distance(node, sink, new_value)
-
-
-# ----------------------------------------------------------------------
-# UpdateBM — batch updates
-# ----------------------------------------------------------------------
-
-def update_matrix_batch(
-    matrix: DistanceMatrix, updates: Sequence[EdgeUpdate]
-) -> AffectedPairs:
-    """Apply the update list ``δ`` to the graph and repair *matrix*.
-
-    The updates are applied in order; the returned ``AFF1`` maps each pair
-    whose distance differs between the state before the first update and the
-    state after the last one to its (old, new) distances.  Pairs whose
-    distance changes transiently but ends up unchanged are *not* reported,
-    matching the semantics ``IncMatch`` needs.
-    """
-    net: AffectedPairs = {}
-    for update in updates:
-        if update.is_insert:
-            step = update_matrix_insert(matrix, update.source, update.target)
-        else:
-            step = update_matrix_delete(matrix, update.source, update.target)
-        net = merge_affected(net, step)
-    return net
-
-
-def merge_affected(first: AffectedPairs, second: AffectedPairs) -> AffectedPairs:
-    """Compose two AFF1 mappings applied in sequence.
-
-    The old distance comes from the earliest record, the new distance from
-    the latest; pairs whose merged net change is ``old == new`` — e.g. an
-    edge deleted and re-inserted within one batch — drop out, so the result
-    never reports a pair whose distance is back where it started (such
-    entries would inflate ``|AFF1|`` and schedule useless recheck work in
-    both match-propagation phases).
-    """
-    merged: AffectedPairs = {
-        pair: change for pair, change in first.items() if change[0] != change[1]
-    }
-    for pair, (old, new) in second.items():
-        if pair in merged:
-            original_old = merged[pair][0]
-            if original_old == new:
-                del merged[pair]
-            else:
-                merged[pair] = (original_old, new)
-        elif old != new:
-            merged[pair] = (old, new)
-    return merged
-
 
 def merge_affected_into(net: AffectedPairs, step: AffectedPairs) -> AffectedPairs:
-    """In-place :func:`merge_affected`: fold *step* into *net* and return it.
+    """Compose two AFF1 mappings applied in sequence: fold *step* into *net*.
 
-    The batch procedures merge one step per update; the copying variant is
-    O(accumulated AFF1) per step, which makes long update lists quadratic.
+    *net* is updated in place and returned.  The old distance comes from the
+    earliest record, the new distance from the latest; pairs whose merged
+    net change is ``old == new`` — e.g. an edge deleted and re-inserted
+    within one batch — drop out, so the result never reports a pair whose
+    distance is back where it started (such entries would inflate
+    ``|AFF1|`` and schedule useless recheck work in both match-propagation
+    phases).
     """
     for pair, (old, new) in step.items():
         current = net.get(pair)
@@ -553,10 +316,14 @@ def _repair_store_sink(
 ) -> None:
     """Two-phase per-sink deletion repair over interned ids and CSR adjacency.
 
-    Same algorithm as :func:`_repair_sink_after_deletion`, with flat loops:
-    the affected-set growth and support checks read neighbours straight from
-    the snapshot's CSR slices (or its patch overlay) and distances from the
-    int-keyed column of *sink*.  The caller has already established that
+    Phase 1 collects the sources whose *every* old shortest path to *sink*
+    used the deleted edge (exactly the sources whose distance changes);
+    phase 2 re-settles them from unaffected neighbours with a Dijkstra-style
+    priority queue.  Only affected entries and their immediate frontier are
+    touched — the Ramalingam–Reps bounded behaviour.  Neighbours come
+    straight from the snapshot's CSR slices (or its patch overlay) and
+    distances from the int-keyed column of *sink*, which still holds the
+    pre-deletion distances.  The caller has already established that
     *edge_tail* (at old distance *tail_old*) lost its support.
     """
     col = store.cols[sink]
@@ -647,8 +414,11 @@ def update_store_batch(
 
     The graph is mutated and the snapshot patched update by update (no-op
     updates — deleting a missing edge, inserting an existing one — touch
-    nothing); the returned mapping nets out transient changes exactly like
-    :func:`update_matrix_batch`, in interned ids.
+    nothing).  The returned ``AFF1`` maps each pair whose distance differs
+    between the state before the first update and the state after the last
+    one to its (old, new) distances; pairs whose distance changes
+    transiently but ends up unchanged are *not* reported, matching the
+    semantics ``IncMatch`` needs.
     """
     net: InternedAffectedPairs = {}
     for update in updates:

@@ -11,9 +11,12 @@ descendant queries (rows) and ancestor queries (columns) with equal
 frequency.  :meth:`DistanceMatrix.refresh` computes **rows only**; a column
 is materialised lazily from the rows on first access and kept in sync from
 then on, so a workload that never asks an ancestor query (or asks about a
-few sinks) does not pay the second ``O(|V|^2)`` dict build.  The incremental
-procedures ``UpdateM`` / ``UpdateBM`` (see
-:mod:`repro.distance.incremental`) mutate this structure in place.
+few sinks) does not pay the second ``O(|V|^2)`` dict build.
+
+:class:`InternedDistanceStore` holds the same matrix keyed by the interned
+ids of a compiled snapshot; it is what the incremental procedures
+``UpdateM`` / ``UpdateBM`` (see :mod:`repro.distance.incremental`) repair in
+place.
 """
 
 from __future__ import annotations
@@ -84,10 +87,6 @@ class DistanceMatrix(DistanceOracle):
     def in_sync(self) -> bool:
         """``True`` when the matrix was built/updated for the graph's current version."""
         return self._graph_version == self._graph.version
-
-    def mark_synchronized(self) -> None:
-        """Declare the matrix up to date with the graph (used by incremental updates)."""
-        self._graph_version = self._graph.version
 
     # ------------------------------------------------------------------
     # DistanceOracle interface
@@ -269,10 +268,8 @@ class InternedDistanceStore:
     integers instead of arbitrary node ids, and bounded-reachability answers
     come out as bitsets ready for ``&``/``bit_count()`` support counting.
 
-    The store is built from an up-to-date :class:`DistanceMatrix` and can
-    flush its accumulated changes back with :meth:`flush_into`, so the
-    NodeId-keyed matrix remains available at the API boundary without being
-    repaired twice.
+    Build one with :func:`~repro.distance.incremental.build_store`, or
+    re-key an up-to-date :class:`DistanceMatrix` with :meth:`from_matrix`.
     """
 
     __slots__ = ("compiled", "rows", "cols", "_bits_memo", "_memo_version")
@@ -409,25 +406,3 @@ class InternedDistanceStore:
                 bits |= 1 << target
             self._bits_memo.put(key, bits)
         return bits
-
-    # ------------------------------------------------------------------
-    # write-back into the NodeId-keyed matrix
-    # ------------------------------------------------------------------
-
-    def flush_into(
-        self,
-        matrix: DistanceMatrix,
-        changes: Dict[Tuple[int, int], float],
-    ) -> None:
-        """Write the accumulated repairs back into *matrix* and re-sync it.
-
-        *changes* maps interned ``(source, target)`` pairs to their new
-        distance (:data:`INF` removes the entry) — exactly the shape the
-        compiled repair procedures accumulate.
-        """
-        node_of = self.compiled.node_of
-        for (i, j), value in changes.items():
-            matrix.set_distance(node_of(i), node_of(j), value)
-        for node in self.compiled.node_ids():
-            matrix.ensure_node(node)
-        matrix.mark_synchronized()

@@ -58,7 +58,7 @@ import queue as queue_module
 import signal
 import time
 import weakref
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import sanitize as _sanitize
 from repro.matching.match_result import MatchResult
@@ -311,6 +311,8 @@ def _spawn_worker_main(worker_id: int, descriptor, tasks, results) -> None:
             pass
         return
     try:
+        # Startup ack (task id -1): tells the parent this worker is serving.
+        results.put((worker_id, -1, "ack", None))
         _serve(AttachedExecutor(compiled), compiled, tasks, results, worker_id)
     finally:
         compiled.shared_handle.close()
@@ -429,6 +431,8 @@ class WorkerPool:
         self._exhausted_tasks = 0
         self._budget_stops = 0
         self._fault_notes: Dict[str, int] = {}
+        #: Spawn workers not yet heard from since they were started.
+        self._starting: Set[int] = set()
 
     # -- lifecycle ------------------------------------------------------
 
@@ -501,6 +505,7 @@ class WorkerPool:
             finally:
                 _WORKER_SESSION = None
         else:
+            self._starting.add(worker_id)
             process = context.Process(
                 target=_spawn_worker_main,
                 args=(
@@ -570,6 +575,7 @@ class WorkerPool:
         for process in self._processes:
             _stop_process(process, join_timeout=1.0)
         self._processes = []
+        self._starting.clear()
         for q in (self._task_queue, self._result_queue):
             if q is not None:
                 try:
@@ -759,6 +765,7 @@ class WorkerPool:
                 except (TypeError, ValueError):
                     self._corrupt_results += 1
                     continue
+                self._starting.discard(worker_id)
                 if status == "ack":
                     task = pending.get(task_id)
                     if task is not None and task.not_before is None:
@@ -766,10 +773,7 @@ class WorkerPool:
                         task.deadline = now + self._task_timeout
                     continue
                 if status == "fault":
-                    if isinstance(payload, str):
-                        self._fault_notes[payload] = (
-                            self._fault_notes.get(payload, 0) + 1
-                        )
+                    self._note_fault(payload)
                     continue
                 if status == "malformed":
                     self._malformed_tasks += 1
@@ -815,7 +819,38 @@ class WorkerPool:
                         process.join(timeout=1.0)
                         self._quarantined += 1
                 return False
-        return True
+        # Every task is answered, but a spawn worker whose attach failed may
+        # still be starting when a healthy worker has served the whole
+        # batch.  Wait (at most one task timeout) for each starting worker's
+        # first message — its attach ack or its fault note — read every
+        # queued note, and reap exited workers, so the batch's counters see
+        # the failure.
+        deadline = time.monotonic() + self._task_timeout
+        while True:
+            waiting = bool(self._starting) and time.monotonic() < deadline
+            try:
+                item = self._result_queue.get(timeout=0.05 if waiting else 0)
+            except queue_module.Empty:
+                if not waiting:
+                    break
+                self._starting = {
+                    w for w in self._starting if self._processes[w].is_alive()
+                }
+                continue
+            except Exception:  # pragma: no cover - queue torn down under us
+                self._broken = True
+                return False
+            if _sanitize.ENABLED:
+                _sanitize.pool_result(item)
+            if isinstance(item, tuple) and len(item) == 4:
+                self._starting.discard(item[0])
+                if item[2] == "fault":
+                    self._note_fault(item[3])
+        return self._check_liveness(pending, time.monotonic())
+
+    def _note_fault(self, payload) -> None:
+        if isinstance(payload, str):
+            self._fault_notes[payload] = self._fault_notes.get(payload, 0) + 1
 
     def run_units(
         self,

@@ -80,9 +80,6 @@ __all__ = ["MatchSession"]
 AUTO_POOL_WORK_FLOOR = 400_000
 #: ``parallel=None`` never *starts* a pool for fewer pending queries than this.
 AUTO_POOL_MIN_QUERIES = 4
-#: Backwards-compatible aliases from the throwaway fork-pool era.
-AUTO_FORK_WORK_FLOOR = AUTO_POOL_WORK_FLOOR
-AUTO_FORK_MIN_QUERIES = AUTO_POOL_MIN_QUERIES
 #: ``match_parallel`` precomputes balls on the pool only when at least this
 #: many uncached ball sources exist (fewer are faster inline).
 INTRA_QUERY_MIN_SOURCES = 256

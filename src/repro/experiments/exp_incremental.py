@@ -71,8 +71,7 @@ def _run_sweep(
         notes=(
             f"YouTube substitute scale={scale}; pattern "
             f"P({pattern_nodes},{pattern_edges},{bound}) (DAG); Match time includes "
-            "rebuilding the distance matrix on the updated graph; IncMatch runs "
-            "the compiled engine, IncMatch_legacy the set-based reference"
+            "rebuilding the distance matrix on the updated graph"
         ),
     )
     for size in sizes:
@@ -83,13 +82,8 @@ def _run_sweep(
         # Incremental (compiled engine): maintain the patched snapshot,
         # interned distance store and bitset match through the update list.
         inc_graph = base_graph.copy()
-        matcher = IncrementalMatcher(pattern, inc_graph, use_compiled=True)
+        matcher = IncrementalMatcher(pattern, inc_graph)
         area, inc_seconds = timed(matcher.apply, updates)
-
-        # Incremental (legacy set/dict reference).
-        legacy_graph = base_graph.copy()
-        legacy_matcher = IncrementalMatcher(pattern, legacy_graph, use_compiled=False)
-        legacy_area, legacy_seconds = timed(legacy_matcher.apply, updates)
 
         # Batch: apply the updates to a copy, then rerun Match from scratch
         # (matrix rebuild included, as in the paper).
@@ -106,23 +100,13 @@ def _run_sweep(
 
         batch_result, batch_seconds = timed(rerun_batch)
 
-        agreement = (
-            matcher.match == batch_result
-            and legacy_matcher.match == batch_result
-            and area.distance_changes == legacy_area.distance_changes
-            and area.removed_matches == legacy_area.removed_matches
-            and area.added_matches == legacy_area.added_matches
-        )
+        agreement = matcher.match == batch_result
         record.add_row(
             **{
                 "|delta|": size,
                 "IncMatch_s": round(inc_seconds, 3),
-                "IncMatch_legacy_s": round(legacy_seconds, 3),
                 "Match_s": round(batch_seconds, 3),
                 "speedup": round(batch_seconds / inc_seconds, 2) if inc_seconds else float("inf"),
-                "legacy_over_compiled": (
-                    round(legacy_seconds / inc_seconds, 2) if inc_seconds else float("inf")
-                ),
                 "AFF_per_update": round(area.total_size / max(1, size), 1),
                 "AFF1": area.aff1_size,
                 "AFF2": area.aff2_core_size,

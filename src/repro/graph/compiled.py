@@ -332,7 +332,7 @@ class CompiledGraph:
 
         Oracles use this to detect a snapshot compiled from a *different*
         graph than their own and fall back to the unmemoised slow path, so a
-        mismatched caller gets correct (legacy-equivalent) results instead of
+        mismatched caller gets correct (unmemoised) results instead of
         silently wrong bitsets.
         """
         return self._graph_ref()

@@ -1,6 +1,6 @@
 """Bounded-simulation matching: the paper's core contribution.
 
-* :func:`match` / :func:`matches` — Algorithm ``Match`` (Theorem 3.1);
+* :func:`match` — Algorithm ``Match`` (Theorem 3.1);
 * :func:`graph_simulation` — plain graph simulation (the bound-1 special case);
 * :class:`IncrementalMatcher` — ``Match⁻``, ``Match⁺`` and ``IncMatch`` (Section 4);
 * :func:`build_result_graph` — result graphs (Section 2.2);
@@ -10,12 +10,9 @@
 from repro.matching.affected import AffectedArea
 from repro.matching.bounded import (
     candidate_bits,
-    candidate_sets,
     match,
-    matches,
     naive_match,
     refine_bits_to_fixpoint,
-    refine_to_fixpoint,
 )
 from repro.matching.colored import build_color_oracles, match_colored, matches_colored
 from repro.matching.incremental import IncrementalMatcher
@@ -25,11 +22,8 @@ from repro.matching.simulation import graph_simulation, simulates
 
 __all__ = [
     "match",
-    "matches",
     "naive_match",
-    "candidate_sets",
     "candidate_bits",
-    "refine_to_fixpoint",
     "refine_bits_to_fixpoint",
     "match_colored",
     "matches_colored",

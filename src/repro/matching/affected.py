@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Set, Tuple
 
+from repro.distance.incremental import merge_affected_into
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.graph.pattern import Pattern, PatternNodeId
 
@@ -90,24 +91,18 @@ class AffectedArea:
         undone by the later operation) drop out — they are not part of the
         composed ``AFF1``.
         """
+        distance_changes = {
+            pair: change
+            for pair, change in self.distance_changes.items()
+            if change[0] != change[1]
+        }
         merged = AffectedArea(
-            distance_changes={
-                pair: change
-                for pair, change in self.distance_changes.items()
-                if change[0] != change[1]
-            },
+            distance_changes=merge_affected_into(
+                distance_changes, other.distance_changes
+            ),
             removed_matches=set(self.removed_matches),
             added_matches=set(self.added_matches),
         )
-        for pair, (old, new) in other.distance_changes.items():
-            if pair in merged.distance_changes:
-                original_old = merged.distance_changes[pair][0]
-                if original_old == new:
-                    del merged.distance_changes[pair]
-                else:
-                    merged.distance_changes[pair] = (original_old, new)
-            elif old != new:
-                merged.distance_changes[pair] = (old, new)
         # A pair removed then re-added (or vice versa) nets out.
         for pair in other.removed_matches:
             if pair in merged.added_matches:

@@ -25,17 +25,18 @@ With a precomputed distance matrix the total cost is
 function accepts any :class:`~repro.distance.oracle.DistanceOracle`, which is
 how the paper's ``BFS`` and ``2-hop`` variants are obtained.
 
-:func:`naive_match` is an intentionally simple fixpoint implementation used
-as a cross-checking reference in the test suite.
+:func:`naive_match` is an intentionally simple fixpoint implementation and
+the one reference every execution route is tested against.
 
-By default :func:`match` runs the refinement over the *compiled* snapshot of
-the data graph (:mod:`repro.graph.compiled`): candidates come from the
-inverted attribute index as bitsets over interned integer ids, the oracle
-answers bounded reachability as bitsets, and support counting is
-``(desc & mat).bit_count()``.  Results decode back to original node ids, so
-the relation is bit-for-bit identical to the set-based implementation
-(retained under ``use_compiled=False`` and in :func:`refine_to_fixpoint`,
-which the incremental matcher still uses over the mutable graph).
+:func:`match` runs the refinement over the *compiled* snapshot of the data
+graph (:mod:`repro.graph.compiled`) through a throwaway
+:class:`~repro.engine.MatchSession`: candidates come from the inverted
+attribute index as bitsets over interned integer ids
+(:func:`candidate_bits`), the oracle answers bounded reachability as
+bitsets, and support counting is ``(desc & mat).bit_count()``
+(:func:`refine_bits_to_fixpoint`).  Results decode back to original node ids
+at the :class:`~repro.matching.match_result.MatchResult` boundary.  The
+incremental matcher seeds its state with the same two functions.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis import sanitize as _sanitize
-from repro.distance.matrix import DistanceMatrix
 from repro.distance.oracle import DistanceOracle
 from repro.graph.compiled import CompiledGraph, bits_to_indices
 from repro.graph.datagraph import DataGraph, NodeId
@@ -53,36 +53,10 @@ from repro.matching.match_result import MatchResult
 
 __all__ = [
     "match",
-    "matches",
     "naive_match",
-    "candidate_sets",
     "candidate_bits",
-    "refine_to_fixpoint",
     "refine_bits_to_fixpoint",
 ]
-
-
-def candidate_sets(
-    pattern: Pattern, graph: DataGraph, *, out_degree_filter: bool = True
-) -> Dict[PatternNodeId, Set[NodeId]]:
-    """The initial candidate sets ``mat(u)`` of Algorithm Match (lines 4-5).
-
-    A data node is a candidate of ``u`` when its attributes satisfy ``f_v(u)``;
-    when *out_degree_filter* is set and ``u`` has outgoing pattern edges,
-    nodes without outgoing data edges are excluded (they can never head a
-    nonempty path).
-    """
-    candidates: Dict[PatternNodeId, Set[NodeId]] = {}
-    for u in pattern.nodes():
-        predicate = pattern.predicate(u)
-        needs_out_edge = out_degree_filter and pattern.out_degree(u) > 0
-        candidates[u] = {
-            v
-            for v in graph.nodes()
-            if predicate.evaluate(graph.attributes(v))
-            and (not needs_out_edge or graph.out_degree(v) > 0)
-        }
-    return candidates
 
 
 def candidate_bits(
@@ -110,10 +84,14 @@ def match(
     pattern: Pattern,
     graph: DataGraph,
     oracle: Optional[DistanceOracle] = None,
-    *,
-    use_compiled: bool = True,
 ) -> MatchResult:
     """Compute the maximum bounded-simulation match of *pattern* in *graph*.
+
+    The call is served by a throwaway :class:`~repro.engine.MatchSession`:
+    planning, compiled snapshot pinning and execution live in
+    :mod:`repro.engine`.  Hold a session yourself when issuing many queries
+    against one graph so ball memos and cached results survive between
+    calls.
 
     Parameters
     ----------
@@ -121,23 +99,14 @@ def match(
         The pattern ``P`` and data graph ``G``.
     oracle:
         The distance substrate used for bounded-connectivity checks.  By
-        default the compiled path gets a
-        :class:`~repro.distance.compiled.CompiledDistanceMatrix` — the lazy
-        flat-array engine, which together with the worklist refinement
-        computes balls only for live candidates — and the legacy path a
-        freshly built :class:`~repro.distance.matrix.DistanceMatrix` (the
-        paper's Algorithm Match, line 1).  Pass a
+        default a :class:`~repro.distance.compiled.CompiledDistanceMatrix` —
+        the lazy flat-array engine, which together with the worklist
+        refinement computes balls only for live candidates.  Pass a
+        :class:`~repro.distance.matrix.DistanceMatrix` (the paper's
+        Algorithm Match, line 1),
         :class:`~repro.distance.bfs.BFSDistanceOracle` or
-        :class:`~repro.distance.twohop.TwoHopOracle` for the other paper
-        variants.
-    use_compiled:
-        When ``True`` (default) the call is served by a throwaway
-        :class:`~repro.engine.MatchSession` — planning, compiled snapshot
-        pinning and execution live in :mod:`repro.engine`; hold a session
-        yourself when issuing many queries against one graph so ball memos
-        and cached results survive between calls.  ``False`` selects the
-        original set-based implementation, kept as a cross-checking
-        reference and for old-vs-new benchmarking.
+        :class:`~repro.distance.twohop.TwoHopOracle` for the paper's
+        Exp-2 variants.
 
     Returns
     -------
@@ -145,87 +114,9 @@ def match(
         The maximum match, or the empty relation when ``P`` does not match
         ``G``.
     """
-    if use_compiled:
-        # A throwaway engine session: planning, snapshot pinning and the
-        # result cache live in repro.engine; callers issuing many queries
-        # against one graph should hold a MatchSession themselves so the
-        # ball memos and cached results survive between calls.
-        from repro.engine.session import MatchSession
+    from repro.engine.session import MatchSession
 
-        return MatchSession(graph, oracle=oracle).match(pattern)
-
-    pattern_nodes = pattern.node_list()
-    if pattern.number_of_nodes() == 0:
-        return MatchResult.empty(pattern_nodes)
-    if graph.number_of_nodes() == 0:
-        return MatchResult.empty(pattern_nodes)
-    if oracle is None:
-        oracle = DistanceMatrix(graph)
-
-    mat = candidate_sets(pattern, graph)
-    for u, candidates in mat.items():
-        if not candidates:
-            return MatchResult.empty(pattern_nodes)
-
-    refine_to_fixpoint(pattern, oracle, mat)
-
-    if any(not candidates for candidates in mat.values()):
-        return MatchResult.empty(pattern_nodes)
-    return MatchResult(mat, pattern_nodes=pattern_nodes)
-
-
-def refine_to_fixpoint(
-    pattern: Pattern,
-    oracle: DistanceOracle,
-    mat: Dict[PatternNodeId, Set[NodeId]],
-) -> Set[Tuple[PatternNodeId, NodeId]]:
-    """Refine the candidate sets *mat* in place to the greatest fixpoint.
-
-    Returns the set of ``(pattern node, data node)`` pairs removed during the
-    refinement.  This is shared by :func:`match` and by the incremental
-    matcher's initialisation.
-    """
-    # support_count[(u, u')][v]: |descendants of v within the bound ∩ mat(u')|
-    support_count: Dict[
-        Tuple[PatternNodeId, PatternNodeId], Dict[NodeId, int]
-    ] = {}
-    removal_list: List[Tuple[PatternNodeId, NodeId]] = []
-    removed: Set[Tuple[PatternNodeId, NodeId]] = set()
-
-    for u, u_child in pattern.edges():
-        bound = pattern.bound(u, u_child)
-        child_candidates = mat[u_child]
-        counts: Dict[NodeId, int] = {}
-        for v in mat[u]:
-            reachable = oracle.descendants_within(v, bound)
-            count = len(reachable & child_candidates)
-            counts[v] = count
-            if count == 0 and (u, v) not in removed:
-                removed.add((u, v))
-                removal_list.append((u, v))
-        support_count[(u, u_child)] = counts
-
-    index = 0
-    while index < len(removal_list):
-        u, v = removal_list[index]
-        index += 1
-        mat[u].discard(v)
-        # Removing (u, v) can only invalidate candidates of parents of u that
-        # reach v within the bound of the corresponding pattern edge.
-        for u_parent in pattern.predecessors(u):
-            bound = pattern.bound(u_parent, u)
-            counts = support_count.get((u_parent, u))
-            if counts is None:
-                continue
-            parent_candidates = mat[u_parent]
-            for w in oracle.ancestors_within(v, bound):
-                if w not in parent_candidates or w not in counts:
-                    continue
-                counts[w] -= 1
-                if counts[w] == 0 and (u_parent, w) not in removed:
-                    removed.add((u_parent, w))
-                    removal_list.append((u_parent, w))
-    return removed
+    return MatchSession(graph, oracle=oracle).match(pattern)
 
 
 def refine_bits_to_fixpoint(
@@ -239,7 +130,7 @@ def refine_bits_to_fixpoint(
     memo_tag=None,
     edge_order=None,
 ) -> Set[Tuple[PatternNodeId, int]]:
-    """Bitset counterpart of :func:`refine_to_fixpoint` over interned node ids.
+    """Refine *mat_bits* to the greatest bounded-simulation fixpoint.
 
     Candidate sets are Python-int bitsets; support counting is a single
     ``&`` plus ``bit_count()`` against the oracle's bitset reachability
@@ -571,28 +462,6 @@ def refine_bits_to_fixpoint(
                     queued.add(parent_edge)
                     worklist.append(parent_edge)
     return removed
-
-
-def matches(
-    pattern: Pattern,
-    graph: DataGraph,
-    oracle: Optional[DistanceOracle] = None,
-) -> bool:
-    """``True`` when ``P ⊴ G`` (the pattern matches the graph).
-
-    .. deprecated:: 1.1
-        Use ``bool(match(pattern, graph))`` or the public surface
-        ``bool(repro.api.wrap(graph).query(q).match())``.
-    """
-    import warnings
-
-    warnings.warn(
-        "matches() is deprecated; use bool(match(...)) or "
-        "bool(repro.api.wrap(graph).query(q).match())",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return bool(match(pattern, graph, oracle))
 
 
 def naive_match(pattern: Pattern, graph: DataGraph) -> MatchResult:

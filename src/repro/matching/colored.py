@@ -27,7 +27,6 @@ from repro.distance.matrix import DistanceMatrix
 from repro.distance.oracle import DistanceOracle
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.graph.pattern import Pattern, PatternNodeId
-from repro.matching.bounded import candidate_sets
 from repro.matching.match_result import MatchResult
 
 __all__ = ["match_colored", "matches_colored", "build_color_oracles", "naive_match_colored"]
@@ -82,7 +81,14 @@ def match_colored(
     if oracles is None:
         oracles = build_color_oracles(pattern, graph, oracle_factory)
 
-    mat = candidate_sets(pattern, graph, out_degree_filter=False)
+    mat: Dict[PatternNodeId, Set[NodeId]] = {
+        u: {
+            v
+            for v in graph.nodes()
+            if pattern.predicate(u).evaluate(graph.attributes(v))
+        }
+        for u in pattern.nodes()
+    }
     if any(not candidates for candidates in mat.values()):
         return MatchResult.empty(pattern.node_list())
 

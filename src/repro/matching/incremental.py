@@ -3,8 +3,9 @@
 :class:`IncrementalMatcher` maintains, for a fixed pattern ``P`` and an
 evolving data graph ``G``:
 
-* the distance matrix ``M`` (repaired by ``UpdateM`` / ``UpdateBM`` from
-  :mod:`repro.distance.incremental`);
+* the distance matrix ``M`` as an
+  :class:`~repro.distance.matrix.InternedDistanceStore` (repaired by
+  ``UpdateM`` / ``UpdateBM`` from :mod:`repro.distance.incremental`);
 * the per-pattern-node match sets ``mat(u)`` (the greatest bounded-simulation
   fixpoint) and candidate sets ``can(u)`` (nodes satisfying the predicate of
   ``u`` that currently do not match it);
@@ -32,21 +33,18 @@ worklist propagation cannot discover; the paper leaves cyclic patterns open
 and so do we — a :class:`~repro.exceptions.CyclicPatternError` is raised
 unless ``on_cyclic="recompute"`` asks for a full recomputation fallback.
 
-The compiled incremental mode
------------------------------
-By default (``use_compiled=True``) the matcher runs on the compiled bitset
-core: it pins a :class:`~repro.graph.compiled.CompiledGraph` snapshot of the
-data graph, keeps ``mat(u)``/``can(u)`` as Python-int bitsets over the
-snapshot's interned id space, repairs distances in an
-:class:`~repro.distance.matrix.InternedDistanceStore` with the compiled
-``UpdateM``/``UpdateBM`` procedures (CSR adjacency, two-sided affected-pair
-restriction), and propagates match changes with bitset support counting
-(one ``&`` plus ``bit_count()`` per check).  Results are decoded to original
-node ids only at the :class:`AffectedArea`/:class:`MatchResult` boundary.
-``use_compiled=False`` selects the original set/dict implementation, kept as
-a bit-identical cross-checking reference.
+The compiled core
+-----------------
+The matcher pins a :class:`~repro.graph.compiled.CompiledGraph` snapshot of
+the data graph, keeps ``mat(u)``/``can(u)`` as Python-int bitsets over the
+snapshot's interned id space, repairs distances in the interned store with
+the compiled ``UpdateM``/``UpdateBM`` procedures (CSR adjacency, two-sided
+affected-pair restriction), and propagates match changes with bitset support
+counting (one ``&`` plus ``bit_count()`` per check).  Results are decoded to
+original node ids only at the :class:`AffectedArea`/:class:`MatchResult`
+boundary.
 
-Staleness and re-interning rules (compiled mode):
+Staleness and re-interning rules:
 
 * every edge update applied *through the matcher* patches the pinned
   snapshot in place (:meth:`CompiledGraph.patch_edge_insert` /
@@ -57,18 +55,15 @@ Staleness and re-interning rules (compiled mode):
   cache;
 * nodes added to the graph *between* matcher operations are re-interned at
   the next operation: they get fresh dense indices appended at the end, so
-  all existing bitsets remain valid (``intern_node``).  Node growth is a
-  compiled-mode capability — the legacy mode freezes its candidate sets at
-  construction and never matches nodes added later;
+  all existing bitsets remain valid (``intern_node``);
 * any other out-of-band mutation (edges changed behind the matcher's back,
-  attribute updates) is detected through the graph's version counter and
-  answered with a full re-pin — recompile, matrix refresh, fixpoint rebuild
-  — at the start of the next operation.  Such changes are repaired but not
+  attribute updates, or another matcher's updates on the same graph) is
+  detected through the graph's version counter and answered with a full
+  re-pin — current snapshot from the compile cache, store rebuilt with
+  :func:`~repro.distance.incremental.build_store`, fixpoint rebuilt — at
+  the start of the next operation.  Such changes are repaired but not
   reported: ``AffectedArea``\\ s only cover updates applied through the
-  matcher;
-* the NodeId-keyed :attr:`matrix` is repaired lazily: compiled repairs
-  accumulate and are flushed into it on first access, so the hot path never
-  pays for double bookkeeping.
+  matcher.
 """
 
 from __future__ import annotations
@@ -79,25 +74,17 @@ from repro.distance.incremental import (
     AffectedPairs,
     EdgeUpdate,
     InternedAffectedPairs,
-    merge_affected,
+    build_store,
     merge_affected_into,
-    update_matrix_delete,
-    update_matrix_insert,
     update_store_delete,
     update_store_insert,
 )
-from repro.distance.matrix import DistanceMatrix, InternedDistanceStore
 from repro.exceptions import CyclicPatternError, IncrementalError
 from repro.graph.compiled import CompiledGraph, compile_graph, iter_bits
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.graph.pattern import Pattern, PatternNodeId
 from repro.matching.affected import AffectedArea
-from repro.matching.bounded import (
-    candidate_bits,
-    candidate_sets,
-    refine_bits_to_fixpoint,
-    refine_to_fixpoint,
-)
+from repro.matching.bounded import candidate_bits, refine_bits_to_fixpoint
 from repro.matching.match_result import MatchResult
 
 __all__ = ["IncrementalMatcher"]
@@ -110,25 +97,13 @@ class IncrementalMatcher:
     ----------
     pattern, graph:
         The pattern and the (mutable) data graph.  The matcher takes
-        ownership of keeping the graph, the distance matrix and the match in
+        ownership of keeping the graph, the distance store and the match in
         sync: apply updates through the matcher, not directly on the graph.
-    matrix:
-        An existing, up-to-date :class:`DistanceMatrix` of *graph* to reuse;
-        built on demand when omitted.
     on_cyclic:
         Behaviour when an insertion is applied with a cyclic pattern:
         ``"raise"`` (default) raises :class:`CyclicPatternError`;
         ``"recompute"`` falls back to recomputing the match from scratch
-        (using the incrementally maintained matrix).
-    use_compiled:
-        When ``True`` (default) the matcher runs on the compiled bitset core
-        (see the module docstring); ``False`` selects the original set-based
-        implementation, kept as a cross-checking reference and old-vs-new
-        benchmark baseline.  For edge-update streams over a fixed node set
-        the two modes produce identical matches and
-        :class:`AffectedArea`\\ s; nodes added to the graph between
-        operations are picked up only by the compiled mode (the legacy
-        candidate sets are frozen at construction).
+        (using the incrementally maintained distance store).
     """
 
     def __init__(
@@ -136,9 +111,7 @@ class IncrementalMatcher:
         pattern: Pattern,
         graph: DataGraph,
         *,
-        matrix: Optional[DistanceMatrix] = None,
         on_cyclic: str = "raise",
-        use_compiled: bool = True,
     ) -> None:
         if on_cyclic not in ("raise", "recompute"):
             raise IncrementalError(
@@ -147,116 +120,60 @@ class IncrementalMatcher:
         self.pattern = pattern
         self.graph = graph
         self.on_cyclic = on_cyclic
-        if matrix is None:
-            matrix = DistanceMatrix(graph)
-        elif matrix.graph is not graph:
-            raise IncrementalError("the distance matrix must be built over the same graph")
-        self._matrix = matrix
         self._pattern_is_dag = pattern.is_dag()
-        self._use_compiled = use_compiled
-        if use_compiled:
-            self._pin_snapshot()
-        else:
-            # All nodes satisfying each predicate (fixed: updates never
-            # change attributes).
-            self._candidates: Dict[PatternNodeId, Set[NodeId]] = candidate_sets(
-                pattern, graph, out_degree_filter=False
-            )
-            self._mat: Dict[PatternNodeId, Set[NodeId]] = {}
-            self._can: Dict[PatternNodeId, Set[NodeId]] = {}
-            self._rebuild_match_sets()
+        self._pin_snapshot()
 
     # ------------------------------------------------------------------
     # state
     # ------------------------------------------------------------------
 
     @property
-    def use_compiled(self) -> bool:
-        """Whether this matcher runs on the compiled bitset core."""
-        return self._use_compiled
-
-    @property
-    def matrix(self) -> DistanceMatrix:
-        """The maintained NodeId-keyed distance matrix ``M``.
-
-        In compiled mode the matrix is repaired lazily: pending compiled
-        repairs are flushed into it on access.
-        """
-        if self._use_compiled and self._matrix_dirty:
-            self._flush_matrix()
-        return self._matrix
-
-    @property
     def match(self) -> MatchResult:
         """The current maximum match ``S`` (empty when some ``mat(u)`` is empty)."""
-        if self._use_compiled:
-            decode = self._compiled.decode
-            return MatchResult(
-                {u: decode(bits) for u, bits in self._mat_bits.items()},
-                pattern_nodes=self.pattern.node_list(),
-            )
-        return MatchResult(self._mat, pattern_nodes=self.pattern.node_list())
+        decode = self._compiled.decode
+        return MatchResult(
+            {u: decode(bits) for u, bits in self._mat_bits.items()},
+            pattern_nodes=self.pattern.node_list(),
+        )
 
     def mat(self, pattern_node: PatternNodeId) -> Set[NodeId]:
         """The current ``mat(u)`` set (a copy)."""
-        if self._use_compiled:
-            return self._compiled.decode(self._mat_bits[pattern_node])
-        return set(self._mat[pattern_node])
+        return self._compiled.decode(self._mat_bits[pattern_node])
 
     def can(self, pattern_node: PatternNodeId) -> Set[NodeId]:
         """The current ``can(u)`` set (predicate-satisfying non-matches, a copy)."""
-        if self._use_compiled:
-            return self._compiled.decode(self._can_bits[pattern_node])
-        return set(self._can[pattern_node])
-
-    def _rebuild_match_sets(self) -> None:
-        """(Re)compute the greatest fixpoint from scratch (initialisation / fallback)."""
-        self._mat = {u: set(vs) for u, vs in self._candidates.items()}
-        refine_to_fixpoint(self.pattern, self._matrix, self._mat)
-        self._can = {
-            u: self._candidates[u] - self._mat[u] for u in self._candidates
-        }
+        return self._compiled.decode(self._can_bits[pattern_node])
 
     # ------------------------------------------------------------------
-    # compiled-mode state: snapshot pinning, staleness, write-back
+    # snapshot pinning and staleness
     # ------------------------------------------------------------------
 
     def _pin_snapshot(self) -> None:
         """(Re)pin the compiled snapshot and rebuild every derived structure.
 
         Used at construction and as the full re-pin of the staleness
-        protocol; requires ``self._matrix`` to be in sync with the graph.
+        protocol.
         """
         self._compiled: CompiledGraph = compile_graph(self.graph)
-        self._store = InternedDistanceStore.from_matrix(self._matrix, self._compiled)
+        self._store = build_store(self._compiled)
         self._synced_version = self.graph.version
-        self._pending_matrix: Dict[Tuple[int, int], float] = {}
-        self._matrix_dirty = False
         self._cand_bits: Dict[PatternNodeId, int] = candidate_bits(
             self.pattern, self._compiled, out_degree_filter=False
         )
-        self._mat_bits: Dict[PatternNodeId, int] = {}
-        self._can_bits: Dict[PatternNodeId, int] = {}
-        self._rebuild_match_sets_bits()
+        self._rebuild_match_sets()
 
-    def _rebuild_match_sets_bits(self) -> None:
-        """Bitset counterpart of :meth:`_rebuild_match_sets`."""
-        self._mat_bits = dict(self._cand_bits)
+    def _rebuild_match_sets(self) -> None:
+        """(Re)compute the greatest fixpoint from scratch (initialisation / fallback)."""
+        self._mat_bits: Dict[PatternNodeId, int] = dict(self._cand_bits)
         refine_bits_to_fixpoint(
             self.pattern, self._store, self._compiled, self._mat_bits
         )
-        self._can_bits = {
+        self._can_bits: Dict[PatternNodeId, int] = {
             u: self._cand_bits[u] & ~self._mat_bits[u] for u in self._cand_bits
         }
 
-    def _flush_matrix(self) -> None:
-        """Write pending compiled repairs into the NodeId-keyed matrix."""
-        self._store.flush_into(self._matrix, self._pending_matrix)
-        self._pending_matrix = {}
-        self._matrix_dirty = False
-
     def _ensure_synced(self) -> None:
-        """Apply the staleness rules before a compiled-mode operation.
+        """Apply the staleness rules before an operation.
 
         Pure node additions since the last operation are re-interned in
         place (appended indices keep all bitsets valid); anything else is a
@@ -272,14 +189,13 @@ class IncrementalMatcher:
                 attrs = graph.attributes(node)
                 index = compiled.intern_node(node, attrs)
                 self._store.ensure_index(index)
-                self._matrix.ensure_node(node)
                 bit = 1 << index
                 for u in self.pattern.nodes():
                     if self.pattern.predicate(u).evaluate(attrs):
                         self._cand_bits[u] |= bit
                         # A fresh node has no edges: it matches u only when
                         # u has no outgoing pattern edges to satisfy.
-                        if self._satisfies_all_children_bits(index, u):
+                        if self._satisfies_all_children(index, u):
                             self._mat_bits[u] |= bit
                         else:
                             self._can_bits[u] |= bit
@@ -288,20 +204,8 @@ class IncrementalMatcher:
             # version wholesale.
             compiled.version = graph.version
         else:
-            if self._matrix_dirty:
-                self._pending_matrix = {}
-                self._matrix_dirty = False
-            self._matrix.refresh()
             self._pin_snapshot()
         self._synced_version = graph.version
-
-    def _record_store_changes(self, aff1: InternedAffectedPairs) -> None:
-        """Track compiled repairs for the lazy matrix write-back."""
-        pending = self._pending_matrix
-        for pair, (_, new) in aff1.items():
-            pending[pair] = new
-        self._matrix_dirty = True
-        self._synced_version = self.graph.version
 
     def _decode_aff1(self, aff1: InternedAffectedPairs) -> AffectedPairs:
         node_of = self._compiled.node_of
@@ -324,28 +228,15 @@ class IncrementalMatcher:
 
         Works for arbitrary (possibly cyclic) patterns and data graphs.
         Deleting an edge that does not exist is a true no-op: the graph, the
-        matrix and the match are untouched and the returned
+        distance store and the match are untouched and the returned
         :class:`AffectedArea` is empty.
         """
-        if self._use_compiled:
-            return self._delete_edge_bits(source, target)
-        existed = self.graph.has_edge(source, target)
-        aff1 = update_matrix_delete(self._matrix, source, target)
-        removed = self._process_distance_increases(
-            aff1, touched_tails={source} if existed else set()
-        )
-        return AffectedArea(distance_changes=dict(aff1), removed_matches=removed)
-
-    def _delete_edge_bits(self, source: NodeId, target: NodeId) -> AffectedArea:
         self._ensure_synced()
         existed = self.graph.has_edge(source, target)
         aff1 = update_store_delete(self._store, source, target)
-        if existed:
-            self._record_store_changes(aff1)
-            tails = (self._compiled.id_of(source),)
-        else:
-            tails = ()
-        removed = self._process_distance_increases_bits(aff1, touched_tails=tails)
+        self._synced_version = self.graph.version
+        tails = (self._compiled.id_of(source),) if existed else ()
+        removed = self._process_distance_increases(aff1, touched_tails=tails)
         return AffectedArea(
             distance_changes=self._decode_aff1(aff1),
             removed_matches=self._decode_match_pairs(removed),
@@ -359,12 +250,12 @@ class IncrementalMatcher:
         returned :class:`AffectedArea` is empty, and no DAG check is
         performed).
         """
-        if self._use_compiled:
-            return self._insert_edge_bits(source, target)
+        self._ensure_synced()
         existed = self.graph.has_edge(source, target)
-        aff1 = update_matrix_insert(self._matrix, source, target)
+        aff1 = update_store_insert(self._store, source, target)
+        self._synced_version = self.graph.version
         if existed:
-            return AffectedArea(distance_changes=dict(aff1))
+            return AffectedArea(distance_changes=self._decode_aff1(aff1))
         if not self._pattern_is_dag:
             if self.on_cyclic == "raise":
                 raise CyclicPatternError(
@@ -372,24 +263,7 @@ class IncrementalMatcher:
                     "on_cyclic='recompute' to fall back to full recomputation"
                 )
             return self._recompute_fallback(aff1)
-        added = self._process_distance_decreases(aff1, touched_tails={source})
-        return AffectedArea(distance_changes=dict(aff1), added_matches=added)
-
-    def _insert_edge_bits(self, source: NodeId, target: NodeId) -> AffectedArea:
-        self._ensure_synced()
-        existed = self.graph.has_edge(source, target)
-        aff1 = update_store_insert(self._store, source, target)
-        if existed:
-            return AffectedArea(distance_changes=self._decode_aff1(aff1))
-        self._record_store_changes(aff1)
-        if not self._pattern_is_dag:
-            if self.on_cyclic == "raise":
-                raise CyclicPatternError(
-                    "Match+ requires a DAG pattern; construct the matcher with "
-                    "on_cyclic='recompute' to fall back to full recomputation"
-                )
-            return self._recompute_fallback_bits(aff1)
-        added = self._process_distance_decreases_bits(
+        added = self._process_distance_decreases(
             aff1, touched_tails=(self._compiled.id_of(source),)
         )
         return AffectedArea(
@@ -404,28 +278,30 @@ class IncrementalMatcher:
     def apply(self, updates: Sequence[EdgeUpdate]) -> AffectedArea:
         """``IncMatch``: apply the update list ``δ`` and repair the match.
 
-        ``UpdateBM`` repairs the distance matrix for the whole batch first;
+        ``UpdateBM`` repairs the distance store for the whole batch first;
         the resulting ``AFF1`` pairs are then processed — increases with the
         ``Match⁻`` removal propagation, decreases with the ``Match⁺``
         addition propagation.  Requires a DAG pattern when ``δ`` contains
         insertions (no-op insertions — re-inserting an existing edge — do
         not count).
         """
-        if self._use_compiled:
-            return self._apply_bits(updates)
-        aff1: AffectedPairs = {}
-        delete_tails: Set[NodeId] = set()
-        insert_tails: Set[NodeId] = set()
+        self._ensure_synced()
+        graph = self.graph
+        aff1: InternedAffectedPairs = {}
+        delete_tails: Set[int] = set()
+        insert_tails: Set[int] = set()
         for update in updates:
+            existed = graph.has_edge(update.source, update.target)
             if update.is_insert:
-                if not self.graph.has_edge(update.source, update.target):
-                    insert_tails.add(update.source)
-                step = update_matrix_insert(self._matrix, update.source, update.target)
+                step = update_store_insert(self._store, update.source, update.target)
+                if not existed:
+                    insert_tails.add(self._compiled.id_of(update.source))
             else:
-                if self.graph.has_edge(update.source, update.target):
-                    delete_tails.add(update.source)
-                step = update_matrix_delete(self._matrix, update.source, update.target)
-            aff1 = merge_affected(aff1, step)
+                step = update_store_delete(self._store, update.source, update.target)
+                if existed:
+                    delete_tails.add(self._compiled.id_of(update.source))
+            merge_affected_into(aff1, step)
+        self._synced_version = graph.version
 
         increases = {pair: change for pair, change in aff1.items() if change[1] > change[0]}
         decreases = {pair: change for pair, change in aff1.items() if change[1] < change[0]}
@@ -443,52 +319,6 @@ class IncrementalMatcher:
         # A pair dropped by the removal phase and recovered by the addition
         # phase is not part of AFF2: the net match change is what counts.
         return AffectedArea(
-            distance_changes=dict(aff1),
-            removed_matches=removed - added,
-            added_matches=added - removed,
-        )
-
-    def _apply_bits(self, updates: Sequence[EdgeUpdate]) -> AffectedArea:
-        self._ensure_synced()
-        graph = self.graph
-        aff1: InternedAffectedPairs = {}
-        delete_tails: Set[int] = set()
-        insert_tails: Set[int] = set()
-        mutated = False
-        for update in updates:
-            existed = graph.has_edge(update.source, update.target)
-            if update.is_insert:
-                step = update_store_insert(self._store, update.source, update.target)
-                if not existed:
-                    insert_tails.add(self._compiled.id_of(update.source))
-                    mutated = True
-            else:
-                step = update_store_delete(self._store, update.source, update.target)
-                if existed:
-                    delete_tails.add(self._compiled.id_of(update.source))
-                    mutated = True
-            merge_affected_into(aff1, step)
-        if mutated:
-            self._record_store_changes(aff1)
-
-        increases = {pair: change for pair, change in aff1.items() if change[1] > change[0]}
-        decreases = {pair: change for pair, change in aff1.items() if change[1] < change[0]}
-
-        if (decreases or insert_tails) and not self._pattern_is_dag:
-            if self.on_cyclic == "raise":
-                raise CyclicPatternError(
-                    "IncMatch with insertions requires a DAG pattern; construct "
-                    "the matcher with on_cyclic='recompute' for a fallback"
-                )
-            return self._recompute_fallback_bits(aff1)
-
-        removed = self._process_distance_increases_bits(
-            increases, touched_tails=delete_tails
-        )
-        added = self._process_distance_decreases_bits(
-            decreases, touched_tails=insert_tails
-        )
-        return AffectedArea(
             distance_changes=self._decode_aff1(aff1),
             removed_matches=self._decode_match_pairs(removed - added),
             added_matches=self._decode_match_pairs(added - removed),
@@ -500,10 +330,10 @@ class IncrementalMatcher:
 
     def _process_distance_increases(
         self,
-        aff1: AffectedPairs,
+        aff1: InternedAffectedPairs,
         *,
-        touched_tails: Iterable[NodeId] = (),
-    ) -> Set[Tuple[PatternNodeId, NodeId]]:
+        touched_tails: Iterable[int] = (),
+    ) -> Set[Tuple[PatternNodeId, int]]:
         """Remove matches invalidated by distance increases (Fig. 5, lines 2-12).
 
         *touched_tails* are the tail nodes of deleted edges; losing a
@@ -511,140 +341,6 @@ class IncrementalMatcher:
         not visible in ``AFF1`` (pairwise distances) but affects the
         nonempty-path self-support of that node.
         """
-        pattern = self.pattern
-        oracle = self.matrix
-
-        # Data nodes whose outgoing bounded-reachability may have shrunk.
-        recheck_sources: Set[NodeId] = set(touched_tails)
-        for (v_source, v_target), (old, new) in aff1.items():
-            if new <= old:
-                continue
-            recheck_sources.add(v_source)
-            # The shortest cycle through v_target goes through a successor;
-            # if that successor's distance back to v_target grew, the
-            # self-support of v_target may have lapsed.
-            if self.graph.has_edge(v_target, v_source):
-                recheck_sources.add(v_target)
-
-        worklist: List[Tuple[PatternNodeId, NodeId]] = []
-        scheduled: Set[Tuple[PatternNodeId, NodeId]] = set()
-
-        # Lines 2-5: matches directly affected by the distance changes.
-        for v in recheck_sources:
-            for u_parent in pattern.nodes():
-                if v not in self._mat[u_parent]:
-                    continue
-                if self._satisfies_all_children(v, u_parent):
-                    continue
-                pair = (u_parent, v)
-                if pair not in scheduled:
-                    scheduled.add(pair)
-                    worklist.append(pair)
-
-        # Lines 6-12: propagate removals.
-        removed: Set[Tuple[PatternNodeId, NodeId]] = set()
-        index = 0
-        while index < len(worklist):
-            u, v = worklist[index]
-            index += 1
-            if v not in self._mat[u]:
-                continue
-            self._mat[u].discard(v)
-            self._can[u].add(v)
-            removed.add((u, v))
-            for u_parent in pattern.predecessors(u):
-                bound = pattern.bound(u_parent, u)
-                for w in oracle.ancestors_within(v, bound):
-                    if w not in self._mat[u_parent]:
-                        continue
-                    if self._has_support(w, u, bound):
-                        continue
-                    pair = (u_parent, w)
-                    if pair not in scheduled:
-                        scheduled.add(pair)
-                        worklist.append(pair)
-        return removed
-
-    # ------------------------------------------------------------------
-    # Match⁺ internals: addition propagation
-    # ------------------------------------------------------------------
-
-    def _process_distance_decreases(
-        self,
-        aff1: AffectedPairs,
-        *,
-        touched_tails: Iterable[NodeId] = (),
-    ) -> Set[Tuple[PatternNodeId, NodeId]]:
-        """Add matches enabled by distance decreases (Fig. 7, lines 3-15).
-
-        *touched_tails* are the tail nodes of inserted edges; gaining a
-        successor can shorten the shortest cycle through the tail, enabling
-        self-support that is not visible as a pairwise distance change.
-        """
-        pattern = self.pattern
-        oracle = self.matrix
-
-        # Data nodes whose outgoing bounded-reachability may have grown.
-        recheck_sources: Set[NodeId] = set(touched_tails)
-        for (v_source, v_target), (old, new) in aff1.items():
-            if new >= old:
-                continue
-            recheck_sources.add(v_source)
-            if self.graph.has_edge(v_target, v_source):
-                recheck_sources.add(v_target)
-
-        worklist: List[Tuple[PatternNodeId, NodeId]] = []
-        scheduled: Set[Tuple[PatternNodeId, NodeId]] = set()
-
-        # Lines 3-6: candidates directly enabled by the distance changes.
-        for v in recheck_sources:
-            for u_parent in pattern.nodes():
-                if v not in self._can[u_parent]:
-                    continue
-                if not self._satisfies_all_children(v, u_parent):
-                    continue
-                pair = (u_parent, v)
-                if pair not in scheduled:
-                    scheduled.add(pair)
-                    worklist.append(pair)
-
-        # Lines 7-15: propagate additions.
-        added: Set[Tuple[PatternNodeId, NodeId]] = set()
-        index = 0
-        while index < len(worklist):
-            u, v = worklist[index]
-            index += 1
-            if v not in self._can[u]:
-                continue
-            if not self._satisfies_all_children(v, u):
-                continue
-            self._can[u].discard(v)
-            self._mat[u].add(v)
-            added.add((u, v))
-            for u_parent in pattern.predecessors(u):
-                bound = pattern.bound(u_parent, u)
-                for w in oracle.ancestors_within(v, bound):
-                    if w not in self._can[u_parent]:
-                        continue
-                    if not self._satisfies_all_children(w, u_parent):
-                        continue
-                    pair = (u_parent, w)
-                    if pair not in scheduled:
-                        scheduled.add(pair)
-                        worklist.append(pair)
-        return added
-
-    # ------------------------------------------------------------------
-    # bitset propagation (the compiled counterparts of the two phases)
-    # ------------------------------------------------------------------
-
-    def _process_distance_increases_bits(
-        self,
-        aff1: InternedAffectedPairs,
-        *,
-        touched_tails: Iterable[int] = (),
-    ) -> Set[Tuple[PatternNodeId, int]]:
-        """Bitset counterpart of :meth:`_process_distance_increases`."""
         pattern = self.pattern
         store = self._store
         compiled = self._compiled
@@ -667,7 +363,7 @@ class IncrementalMatcher:
             for u_parent in pattern.nodes():
                 if not mat[u_parent] & vbit:
                     continue
-                if self._satisfies_all_children_bits(v, u_parent):
+                if self._satisfies_all_children(v, u_parent):
                     continue
                 pair = (u_parent, v)
                 if pair not in scheduled:
@@ -689,7 +385,7 @@ class IncrementalMatcher:
                 bound = pattern.bound(u_parent, u)
                 affected = store.ancestors_within_bits(compiled, v, bound) & mat[u_parent]
                 for w in iter_bits(affected):
-                    if self._has_support_bits(w, u, bound):
+                    if self._has_support(w, u, bound):
                         continue
                     pair = (u_parent, w)
                     if pair not in scheduled:
@@ -697,13 +393,22 @@ class IncrementalMatcher:
                         worklist.append(pair)
         return removed
 
-    def _process_distance_decreases_bits(
+    # ------------------------------------------------------------------
+    # Match⁺ internals: addition propagation
+    # ------------------------------------------------------------------
+
+    def _process_distance_decreases(
         self,
         aff1: InternedAffectedPairs,
         *,
         touched_tails: Iterable[int] = (),
     ) -> Set[Tuple[PatternNodeId, int]]:
-        """Bitset counterpart of :meth:`_process_distance_decreases`."""
+        """Add matches enabled by distance decreases (Fig. 7, lines 3-15).
+
+        *touched_tails* are the tail nodes of inserted edges; gaining a
+        successor can shorten the shortest cycle through the tail, enabling
+        self-support that is not visible as a pairwise distance change.
+        """
         pattern = self.pattern
         store = self._store
         compiled = self._compiled
@@ -726,7 +431,7 @@ class IncrementalMatcher:
             for u_parent in pattern.nodes():
                 if not can[u_parent] & vbit:
                     continue
-                if not self._satisfies_all_children_bits(v, u_parent):
+                if not self._satisfies_all_children(v, u_parent):
                     continue
                 pair = (u_parent, v)
                 if pair not in scheduled:
@@ -741,7 +446,7 @@ class IncrementalMatcher:
             vbit = 1 << v
             if not can[u] & vbit:
                 continue
-            if not self._satisfies_all_children_bits(v, u):
+            if not self._satisfies_all_children(v, u):
                 continue
             can[u] &= ~vbit
             mat[u] |= vbit
@@ -750,7 +455,7 @@ class IncrementalMatcher:
                 bound = pattern.bound(u_parent, u)
                 affected = store.ancestors_within_bits(compiled, v, bound) & can[u_parent]
                 for w in iter_bits(affected):
-                    if not self._satisfies_all_children_bits(w, u_parent):
+                    if not self._satisfies_all_children(w, u_parent):
                         continue
                     pair = (u_parent, w)
                     if pair not in scheduled:
@@ -763,21 +468,6 @@ class IncrementalMatcher:
     # ------------------------------------------------------------------
 
     def _has_support(
-        self, data_node: NodeId, u_child: PatternNodeId, bound: Optional[int]
-    ) -> bool:
-        """``True`` when *data_node* reaches some current match of *u_child* within *bound*."""
-        reachable = self._matrix.descendants_within(data_node, bound)
-        return bool(reachable & self._mat[u_child])
-
-    def _satisfies_all_children(self, data_node: NodeId, u: PatternNodeId) -> bool:
-        """``True`` when every outgoing pattern edge of *u* is satisfied by *data_node*."""
-        for u_child in self.pattern.successors(u):
-            bound = self.pattern.bound(u, u_child)
-            if not self._has_support(data_node, u_child, bound):
-                return False
-        return True
-
-    def _has_support_bits(
         self, index: int, u_child: PatternNodeId, bound: Optional[int]
     ) -> bool:
         """``True`` when *index* reaches some current match of *u_child* within *bound*."""
@@ -786,29 +476,18 @@ class IncrementalMatcher:
             & self._mat_bits[u_child]
         )
 
-    def _satisfies_all_children_bits(self, index: int, u: PatternNodeId) -> bool:
+    def _satisfies_all_children(self, index: int, u: PatternNodeId) -> bool:
         """``True`` when every outgoing pattern edge of *u* is satisfied by *index*."""
         for u_child in self.pattern.successors(u):
             bound = self.pattern.bound(u, u_child)
-            if not self._has_support_bits(index, u_child, bound):
+            if not self._has_support(index, u_child, bound):
                 return False
         return True
 
-    def _recompute_fallback(self, aff1: AffectedPairs) -> AffectedArea:
+    def _recompute_fallback(self, aff1: InternedAffectedPairs) -> AffectedArea:
         """Full recomputation fallback used for insertions with cyclic patterns."""
-        old_pairs = {(u, v) for u, vs in self._mat.items() for v in vs}
-        self._rebuild_match_sets()
-        new_pairs = {(u, v) for u, vs in self._mat.items() for v in vs}
-        return AffectedArea(
-            distance_changes=dict(aff1),
-            removed_matches=old_pairs - new_pairs,
-            added_matches=new_pairs - old_pairs,
-        )
-
-    def _recompute_fallback_bits(self, aff1: InternedAffectedPairs) -> AffectedArea:
-        """Compiled fallback: rebuild the fixpoint over bitsets and diff."""
         old_bits = dict(self._mat_bits)
-        self._rebuild_match_sets_bits()
+        self._rebuild_match_sets()
         removed: Set[Tuple[PatternNodeId, int]] = set()
         added: Set[Tuple[PatternNodeId, int]] = set()
         for u, new_bits in self._mat_bits.items():

@@ -10,7 +10,6 @@ relation is *empty* unless **every** pattern node has at least one match
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Set, Tuple
 
 from repro.graph.datagraph import NodeId
@@ -207,26 +206,3 @@ class MatchResult:
             f"MatchResult({len(self._mapping)} pattern nodes, "
             f"{len(self)} pairs)"
         )
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, list]:
-        """JSON-friendly representation: pattern node -> sorted list of data nodes.
-
-        .. deprecated:: 1.1
-            Use :meth:`repro.api.ResultView.to_mapping` /
-            :meth:`~repro.api.ResultView.to_json` — the public result
-            surface also resolves node attributes and result graphs.
-        """
-        warnings.warn(
-            "MatchResult.to_dict() is deprecated; use the repro.api "
-            "ResultView.to_mapping()/to_json() result surface instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            str(u): sorted((str(v) for v in vs))
-            for u, vs in self._mapping.items()
-        }

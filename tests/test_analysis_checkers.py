@@ -93,20 +93,6 @@ class TestDecodeBoundary:
         assert "decode-boundary" not in rules_of(findings)
 
 
-class TestNoDeprecatedInternal:
-    def test_fires_on_both_shims(self):
-        findings = run_checkers("no_deprecated_bad.py")
-        hits = [f for f in findings if f.rule == "no-deprecated-internal"]
-        assert len(hits) == 2
-        messages = " / ".join(f.message for f in hits)
-        assert "matches()" in messages
-        assert "to_dict()" in messages
-
-    def test_quiet_on_legitimate_namesakes(self):
-        findings = run_checkers("no_deprecated_good.py")
-        assert "no-deprecated-internal" not in rules_of(findings)
-
-
 class TestModel:
     def test_module_name_for_src_layout(self):
         assert (

@@ -12,14 +12,16 @@ from repro.graph.generators import random_data_graph
 from repro.graph.pattern import Pattern
 from repro.graph.pattern_generator import PatternGenerator
 from repro.graph.predicates import Predicate
-from repro.matching.bounded import candidate_sets, match, matches, naive_match
+from repro.graph.compiled import compile_graph
+from repro.matching.bounded import candidate_bits, match, naive_match
 
 
 class TestCandidateSets:
     def test_predicate_filtering(self, tiny_graph, tiny_pattern):
-        candidates = candidate_sets(tiny_pattern, tiny_graph)
-        assert candidates["A"] == {"a"}
-        assert candidates["D"] == {"d"}
+        compiled = compile_graph(tiny_graph)
+        candidates = candidate_bits(tiny_pattern, compiled)
+        assert compiled.decode(candidates["A"]) == {"a"}
+        assert compiled.decode(candidates["D"]) == {"d"}
 
     def test_out_degree_filter(self):
         graph = DataGraph()
@@ -31,10 +33,11 @@ class TestCandidateSets:
         pattern.add_node("A", "A")
         pattern.add_node("B", "B")
         pattern.add_edge("A", "B", 1)
-        with_filter = candidate_sets(pattern, graph)
-        without_filter = candidate_sets(pattern, graph, out_degree_filter=False)
-        assert with_filter["A"] == {"y"}
-        assert without_filter["A"] == {"x", "y"}
+        compiled = compile_graph(graph)
+        with_filter = candidate_bits(pattern, compiled)
+        without_filter = candidate_bits(pattern, compiled, out_degree_filter=False)
+        assert compiled.decode(with_filter["A"]) == {"y"}
+        assert compiled.decode(without_filter["A"]) == {"x", "y"}
 
 
 class TestMatchBasics:
@@ -79,9 +82,9 @@ class TestMatchBasics:
         assert match(Pattern(), tiny_graph).is_empty
         assert match(tiny_pattern, DataGraph()).is_empty
 
-    def test_matches_shim_is_deprecated_but_works(self, tiny_graph, tiny_pattern):
-        with pytest.deprecated_call():
-            assert matches(tiny_pattern, tiny_graph) is True
+    def test_truthiness_agrees_with_naive(self, tiny_graph, tiny_pattern):
+        assert bool(match(tiny_pattern, tiny_graph)) is True
+        assert bool(naive_match(tiny_pattern, tiny_graph)) is True
 
     def test_no_candidate_for_some_node(self, tiny_graph):
         pattern = Pattern()

@@ -185,9 +185,8 @@ class TestIncrementalCommand:
         )
         return path
 
-    @pytest.mark.parametrize("engine", ["compiled", "legacy"])
     def test_incremental_stream_runs(
-        self, graph_file, pattern_file, updates_file, engine, capsys
+        self, graph_file, pattern_file, updates_file, capsys
     ):
         exit_code = main(
             [
@@ -195,12 +194,11 @@ class TestIncrementalCommand:
                 "--graph", str(graph_file),
                 "--pattern", str(pattern_file),
                 "--updates", str(updates_file),
-                "--engine", engine,
             ]
         )
         captured = capsys.readouterr().out
         assert exit_code == 0
-        assert f"{engine} engine" in captured
+        assert "1 batch(es)" in captured
         assert "final match" in captured
 
     def test_incremental_json_report_with_batches(
@@ -218,7 +216,6 @@ class TestIncrementalCommand:
         )
         assert exit_code == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["engine"] == "compiled"
         assert len(report["batches"]) == 2
         assert report["match_pairs"] > 0
 
@@ -270,7 +267,7 @@ class TestQueryCommand:
         assert payload["session"]["cache_entries"] == 1
 
     def test_serial_matches_forced_fork(self, capsys, graph_file, pattern_file):
-        for mode in ("serial", "fork"):
+        for mode in ("serial", "pool"):
             code = main(
                 [
                     "query",

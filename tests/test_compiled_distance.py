@@ -2,7 +2,7 @@
 
 The flat BFS kernel and :class:`CompiledDistanceMatrix` must be
 bit-for-bit / set-for-set identical to the dict-based BFS of
-:class:`DataGraph` and the legacy :class:`DistanceMatrix` on arbitrary
+:class:`DataGraph` and the precomputed :class:`DistanceMatrix` on arbitrary
 digraphs — including the nonempty-path corner cases (self-loops, cycles,
 ``bound`` of ``None``/``0``/``k``) and the stale-snapshot fallback.
 """
@@ -25,13 +25,36 @@ from repro.graph.generators import random_data_graph, scale_free_graph
 from repro.graph.pattern_generator import PatternGenerator
 from repro.matching.bounded import (
     candidate_bits,
-    candidate_sets,
     match,
+    naive_match,
     refine_bits_to_fixpoint,
-    refine_to_fixpoint,
 )
 
 BOUNDS = [None, 0, 1, 2, 3]
+
+
+def greatest_fixpoint(pattern, graph):
+    """Per-node greatest fixpoint, by the naive iteration of ``naive_match``.
+
+    Unlike ``naive_match`` it keeps every ``mat(u)`` even when another one is
+    empty, so the refinement can be compared node by node.
+    """
+    mat = {
+        u: {v for v in graph.nodes() if pattern.predicate(u).evaluate(graph.attributes(v))}
+        for u in pattern.nodes()
+    }
+    changed = True
+    while changed:
+        changed = False
+        for u, u_child in pattern.edges():
+            bound = pattern.bound(u, u_child)
+            survivors = {
+                v for v in mat[u] if graph.descendants_within(v, bound) & mat[u_child]
+            }
+            if survivors != mat[u]:
+                mat[u] = survivors
+                changed = True
+    return mat
 
 
 def _random_digraph(seed: int, num_nodes: int = 24, num_edges: int = 60) -> DataGraph:
@@ -265,11 +288,9 @@ class TestCompiledDistanceMatrix:
         generator = PatternGenerator(graph, seed=3)
         for spec_seed in range(3):
             pattern = generator.generate(4, 4, 3)
-            compiled_result = match(pattern, graph)  # default: CompiledDistanceMatrix
-            legacy_result = match(
-                pattern, graph, DistanceMatrix(graph), use_compiled=False
-            )
-            assert compiled_result == legacy_result
+            expected = naive_match(pattern, graph)
+            assert match(pattern, graph) == expected  # default: CompiledDistanceMatrix
+            assert match(pattern, graph, DistanceMatrix(graph)) == expected
 
 
 class TestStoreHandoff:
@@ -301,17 +322,18 @@ class TestWorklistRefinement:
         matrix = DistanceMatrix(graph)
         compiled = compile_graph(graph)
 
-        mat_sets = candidate_sets(pattern, graph)
-        removed_sets = refine_to_fixpoint(pattern, matrix, mat_sets)
-
-        mat_bits = candidate_bits(pattern, compiled)
+        initial = candidate_bits(pattern, compiled)
+        mat_bits = dict(initial)
         removed_bits = refine_bits_to_fixpoint(pattern, matrix, compiled, mat_bits)
 
+        expected = greatest_fixpoint(pattern, graph)
         decoded = {u: compiled.decode(bits) for u, bits in mat_bits.items()}
-        assert decoded == mat_sets
-        assert {
-            (u, compiled.node_of(v)) for u, v in removed_bits
-        } == removed_sets
+        assert decoded == expected
+        assert {(u, compiled.node_of(v)) for u, v in removed_bits} == {
+            (u, v)
+            for u, bits in initial.items()
+            for v in compiled.decode(bits) - expected[u]
+        }
 
     def test_stop_when_empty_still_yields_empty_match(self):
         # An unsatisfiable pattern: the early exit may leave mat_bits partial,

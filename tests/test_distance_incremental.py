@@ -9,15 +9,46 @@ import pytest
 from repro.distance.incremental import (
     EdgeUpdate,
     apply_updates,
-    merge_affected,
-    update_matrix_batch,
-    update_matrix_delete,
-    update_matrix_insert,
+    build_store,
+    merge_affected_into,
+    update_store_batch,
+    update_store_delete,
+    update_store_insert,
 )
 from repro.distance.matrix import DistanceMatrix
 from repro.distance.oracle import INF
 from repro.exceptions import DistanceOracleError
+from repro.graph.compiled import compile_graph
 from repro.graph.generators import random_data_graph
+
+
+def new_store(graph):
+    return build_store(compile_graph(graph))
+
+
+def decoded(store):
+    """The store's finite entries keyed by node ids."""
+    node_of = store.compiled.node_of
+    return {
+        (node_of(i), node_of(j)): dist
+        for i, row in enumerate(store.rows)
+        for j, dist in row.items()
+    }
+
+
+def decoded_aff1(store, affected):
+    node_of = store.compiled.node_of
+    return {(node_of(x), node_of(y)): change for (x, y), change in affected.items()}
+
+
+def reference(graph):
+    """Finite entries of a fresh DistanceMatrix over a copy of *graph*."""
+    return {(s, t): d for s, t, d in DistanceMatrix(graph.copy()).finite_pairs()}
+
+
+def distance(store, source, target):
+    id_of = store.compiled.id_of
+    return store.distance(id_of(source), id_of(target))
 
 
 class TestEdgeUpdate:
@@ -38,90 +69,92 @@ class TestEdgeUpdate:
 
 class TestInsert:
     def test_insert_shortens_distances(self, chain_graph):
-        matrix = DistanceMatrix(chain_graph)
-        affected = update_matrix_insert(matrix, "n4", "n0")
+        store = new_store(chain_graph)
+        affected = decoded_aff1(store, update_store_insert(store, "n4", "n0"))
         assert chain_graph.has_edge("n4", "n0")
-        assert matrix.distance("n4", "n0") == 1
-        assert matrix.distance("n3", "n1") == 3  # n3 -> n4 -> n0 -> n1
+        assert distance(store, "n4", "n0") == 1
+        assert distance(store, "n3", "n1") == 3  # n3 -> n4 -> n0 -> n1
         assert ("n4", "n0") in affected
         old, new = affected[("n4", "n0")]
         assert old == INF and new == 1
 
     def test_insert_existing_edge_is_noop(self, chain_graph):
-        matrix = DistanceMatrix(chain_graph)
-        assert update_matrix_insert(matrix, "n0", "n1") == {}
+        store = new_store(chain_graph)
+        assert update_store_insert(store, "n0", "n1") == {}
 
     def test_insert_unknown_node_raises(self, chain_graph):
-        matrix = DistanceMatrix(chain_graph)
+        store = new_store(chain_graph)
         with pytest.raises(DistanceOracleError):
-            update_matrix_insert(matrix, "n0", "ghost")
+            update_store_insert(store, "n0", "ghost")
 
     def test_affected_pairs_all_decrease(self, random_graph):
-        matrix = DistanceMatrix(random_graph)
+        store = new_store(random_graph)
         nodes = random_graph.node_list()
         rng = random.Random(0)
         source, target = rng.choice(nodes), rng.choice(nodes)
         while source == target or random_graph.has_edge(source, target):
             source, target = rng.choice(nodes), rng.choice(nodes)
-        affected = update_matrix_insert(matrix, source, target)
+        affected = update_store_insert(store, source, target)
+        assert affected
         assert all(new < old for old, new in affected.values())
 
     def test_matches_full_recompute(self):
         graph = random_data_graph(20, 40, seed=10)
-        matrix = DistanceMatrix(graph)
+        store = new_store(graph)
         rng = random.Random(10)
         nodes = graph.node_list()
         for _ in range(10):
             source, target = rng.choice(nodes), rng.choice(nodes)
             if source == target or graph.has_edge(source, target):
                 continue
-            update_matrix_insert(matrix, source, target)
-            assert matrix.equals(DistanceMatrix(graph))
+            update_store_insert(store, source, target)
+            assert decoded(store) == reference(graph)
 
 
 class TestDelete:
     def test_delete_lengthens_distances(self, chain_graph):
-        matrix = DistanceMatrix(chain_graph)
-        affected = update_matrix_delete(matrix, "n1", "n2")
+        store = new_store(chain_graph)
+        affected = decoded_aff1(store, update_store_delete(store, "n1", "n2"))
         assert not chain_graph.has_edge("n1", "n2")
-        assert matrix.distance("n0", "n4") == INF
+        assert distance(store, "n0", "n4") == INF
         assert ("n0", "n2") in affected
         assert all(new > old for old, new in affected.values())
 
     def test_delete_missing_edge_is_noop(self, chain_graph):
-        matrix = DistanceMatrix(chain_graph)
-        assert update_matrix_delete(matrix, "n2", "n0") == {}
+        store = new_store(chain_graph)
+        assert update_store_delete(store, "n2", "n0") == {}
 
     def test_delete_with_alternative_path_changes_nothing(self, tiny_graph):
-        matrix = DistanceMatrix(tiny_graph)
+        store = new_store(tiny_graph)
         # a -> b and a -> c -> d both reach d in <= 2; deleting a->b keeps dist(a, d) = 2.
-        affected = update_matrix_delete(matrix, "a", "b")
-        assert matrix.distance("a", "d") == 2
+        affected = decoded_aff1(store, update_store_delete(store, "a", "b"))
+        assert distance(store, "a", "d") == 2
         assert ("a", "d") not in affected
         assert ("a", "b") in affected
 
     def test_delete_unknown_node_raises(self, chain_graph):
-        matrix = DistanceMatrix(chain_graph)
+        store = new_store(chain_graph)
         with pytest.raises(DistanceOracleError):
-            update_matrix_delete(matrix, "ghost", "n0")
+            update_store_delete(store, "ghost", "n0")
 
     def test_matches_full_recompute(self):
         graph = random_data_graph(20, 60, seed=11)
-        matrix = DistanceMatrix(graph)
+        store = new_store(graph)
         rng = random.Random(11)
         for _ in range(15):
             edges = graph.edge_list()
             if not edges:
                 break
             source, target = rng.choice(edges)
-            update_matrix_delete(matrix, source, target)
-            assert matrix.equals(DistanceMatrix(graph))
+            update_store_delete(store, source, target)
+            assert decoded(store) == reference(graph)
 
 
 class TestBatchAndMerge:
     def test_batch_matches_full_recompute(self):
         graph = random_data_graph(25, 70, seed=12)
-        matrix = DistanceMatrix(graph)
+        before = reference(graph)
+        store = new_store(graph)
         rng = random.Random(12)
         nodes = graph.node_list()
         updates = []
@@ -134,23 +167,27 @@ class TestBatchAndMerge:
                 added.add((source, target))
                 updates.append(EdgeUpdate.insert(source, target))
         rng.shuffle(updates)
-        affected = update_matrix_batch(matrix, updates)
-        assert matrix.equals(DistanceMatrix(graph))
-        # Every reported pair really changed relative to a fresh "before" matrix.
-        for (source, target), (old, new) in affected.items():
-            assert old != new
+        affected = decoded_aff1(store, update_store_batch(store, updates))
+        after = reference(graph)
+        assert decoded(store) == after
+        # AFF1 is exactly the net change relative to a fresh "before" matrix.
+        assert affected == {
+            pair: (before.get(pair, INF), after.get(pair, INF))
+            for pair in before.keys() | after.keys()
+            if before.get(pair, INF) != after.get(pair, INF)
+        }
 
     def test_merge_affected_nets_out_reverted_pairs(self):
         first = {("a", "b"): (2, 5)}
         second = {("a", "b"): (5, 2), ("c", "d"): (1, 3)}
-        merged = merge_affected(first, second)
+        merged = merge_affected_into(first, second)
         assert ("a", "b") not in merged
         assert merged[("c", "d")] == (1, 3)
 
     def test_merge_affected_keeps_first_old_and_last_new(self):
         first = {("a", "b"): (2, 4)}
         second = {("a", "b"): (4, 7)}
-        assert merge_affected(first, second) == {("a", "b"): (2, 7)}
+        assert merge_affected_into(first, second) == {("a", "b"): (2, 7)}
 
     def test_apply_updates_helper(self, chain_graph):
         apply_updates(
@@ -161,8 +198,8 @@ class TestBatchAndMerge:
         assert chain_graph.has_edge("n4", "n0")
 
     def test_insert_then_delete_round_trip(self, chain_graph):
-        matrix = DistanceMatrix(chain_graph)
-        before = matrix.copy()
-        update_matrix_insert(matrix, "n4", "n0")
-        update_matrix_delete(matrix, "n4", "n0")
-        assert matrix.equals(before)
+        store = new_store(chain_graph)
+        before = decoded(store)
+        update_store_insert(store, "n4", "n0")
+        update_store_delete(store, "n4", "n0")
+        assert decoded(store) == before

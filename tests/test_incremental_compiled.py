@@ -1,17 +1,20 @@
-"""Tests for the compiled incremental engine and its edge-semantics hardening.
+"""Tests for the incremental engine and its edge-semantics hardening.
 
-Covers the PR-2 surface:
+Covers:
 
 * randomized incremental-vs-scratch equivalence for mixed insert/delete
-  streams (including repeat-edge batches) over DAG and cyclic patterns, in
-  both the legacy and the compiled matcher modes;
-* true no-op semantics for deleting missing / inserting existing edges;
-* AFF1 netting (``merge_affected`` drops pairs whose net change is
+  streams (including repeat-edge batches) over DAG and cyclic patterns:
+  matches against ``naive_match``, AFF1 against fresh distance matrices,
+  AFF2 and ``mat(u)`` against a matcher built from scratch;
+* true no-op semantics for deleting missing / inserting existing edges,
+  through both the unit operations and an IncMatch batch;
+* AFF1 netting (``merge_affected_into`` drops pairs whose net change is
   ``old == new``);
 * the snapshot patch layer (``patch_edge_insert``/``patch_edge_delete``/
-  ``intern_node``) against full recompilation;
+  ``intern_node``) against full recompilation, and re-pins of standing
+  matchers that share one patched snapshot;
 * the weak compile cache (discarded graphs must not leak snapshots);
-* the compiled ``UpdateM``/``UpdateBM`` against the legacy matrix repair.
+* the compiled ``UpdateM``/``UpdateBM`` against a fresh distance matrix.
 """
 
 from __future__ import annotations
@@ -23,23 +26,75 @@ import pytest
 
 from repro.distance.incremental import (
     EdgeUpdate,
-    merge_affected,
     merge_affected_into,
-    update_matrix_batch,
     update_store_batch,
     update_store_delete,
     update_store_insert,
 )
 from repro.distance.matrix import DistanceMatrix, InternedDistanceStore
 from repro.distance.oracle import INF
+from repro.engine.session import MatchSession
 from repro.exceptions import CyclicPatternError, DistanceOracleError
 from repro.graph.compiled import CompiledGraph, compile_graph, _COMPILE_CACHE
 from repro.graph.datagraph import DataGraph
 from repro.graph.generators import random_data_graph
 from repro.graph.pattern import Pattern
 from repro.graph.pattern_generator import PatternGenerator
-from repro.matching.bounded import match
+from repro.matching.affected import AffectedArea
+from repro.matching.bounded import match, naive_match
 from repro.matching.incremental import IncrementalMatcher
+
+
+def decoded(store):
+    """The store's finite entries keyed by node ids."""
+    node_of = store.compiled.node_of
+    return {
+        (node_of(i), node_of(j)): dist
+        for i, row in enumerate(store.rows)
+        for j, dist in row.items()
+    }
+
+
+def reference(graph):
+    """Finite entries of a fresh DistanceMatrix over a copy of *graph*."""
+    return {(s, t): d for s, t, d in DistanceMatrix(graph.copy()).finite_pairs()}
+
+
+def net_change(before, after):
+    """The AFF1 between two distance maps: every pair whose distance moved."""
+    return {
+        pair: (before.get(pair, INF), after.get(pair, INF))
+        for pair in before.keys() | after.keys()
+        if before.get(pair, INF) != after.get(pair, INF)
+    }
+
+
+def mat_pairs(matcher, pattern):
+    return {(u, v) for u in pattern.nodes() for v in matcher.mat(u)}
+
+
+def assert_step_against_scratch(matcher, pattern, graph, area, before_dist, before_mat):
+    """Check one maintained step against references computed from scratch."""
+    after_dist = reference(graph)
+    assert area.distance_changes == net_change(before_dist, after_dist)
+    assert decoded(matcher._store) == after_dist
+    scratch = IncrementalMatcher(pattern, graph.copy())
+    after_mat = mat_pairs(scratch, pattern)
+    assert mat_pairs(matcher, pattern) == after_mat
+    assert area.removed_matches == before_mat - after_mat
+    assert area.added_matches == after_mat - before_mat
+    assert matcher.match == naive_match(pattern, graph.copy())
+
+
+def run_updates(matcher, updates, batched):
+    """Apply *updates* as one IncMatch batch, or as unit Match-/Match+ calls."""
+    if batched:
+        return matcher.apply(updates)
+    area = AffectedArea()
+    for update in updates:
+        step = matcher.insert_edge if update.is_insert else matcher.delete_edge
+        area = area.merge(step(update.source, update.target))
+    return area
 
 
 def simple_dag_pattern() -> Pattern:
@@ -98,22 +153,18 @@ class TestRandomizedEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_mixed_streams_dag_pattern(self, seed):
         rng = random.Random(seed)
-        compiled_graph = random_data_graph(20, 45, num_labels=4, seed=seed)
-        legacy_graph = compiled_graph.copy()
-        generator = PatternGenerator(compiled_graph, seed=seed)
+        graph = random_data_graph(20, 45, num_labels=4, seed=seed)
+        generator = PatternGenerator(graph, seed=seed)
         pattern = generator.generate_dag(4, 5, 3)
-        compiled_m = IncrementalMatcher(pattern, compiled_graph, use_compiled=True)
-        legacy_m = IncrementalMatcher(pattern, legacy_graph, use_compiled=False)
+        matcher = IncrementalMatcher(pattern, graph)
         for _ in range(4):
-            updates = mixed_stream(compiled_graph, rng, 6)
-            compiled_area = compiled_m.apply(updates)
-            legacy_area = legacy_m.apply(updates)
-            assert compiled_area.distance_changes == legacy_area.distance_changes
-            assert compiled_area.removed_matches == legacy_area.removed_matches
-            assert compiled_area.added_matches == legacy_area.added_matches
-            scratch = match(pattern, compiled_graph.copy())
-            assert compiled_m.match == scratch
-            assert legacy_m.match == scratch
+            updates = mixed_stream(graph, rng, 6)
+            before_dist = reference(graph)
+            before_mat = mat_pairs(matcher, pattern)
+            area = matcher.apply(updates)
+            assert_step_against_scratch(
+                matcher, pattern, graph, area, before_dist, before_mat
+            )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_deletion_streams_cyclic_pattern(self, seed):
@@ -122,39 +173,35 @@ class TestRandomizedEquivalence:
         # Relabel so the cyclic pattern has candidates.
         for i, node in enumerate(graph.node_list()):
             graph.set_attributes(node, label="X" if i % 2 else "Y")
-        legacy_graph = graph.copy()
         pattern = cyclic_pattern()
-        compiled_m = IncrementalMatcher(pattern, graph, use_compiled=True)
-        legacy_m = IncrementalMatcher(pattern, legacy_graph, use_compiled=False)
+        matcher = IncrementalMatcher(pattern, graph)
         for _ in range(3):
             edges = graph.edge_list()
             updates = [EdgeUpdate.delete(*rng.choice(edges)) for _ in range(4)]
-            compiled_area = compiled_m.apply(updates)
-            legacy_area = legacy_m.apply(updates)
-            assert compiled_area.distance_changes == legacy_area.distance_changes
-            assert compiled_area.removed_matches == legacy_area.removed_matches
-            scratch = match(pattern, graph.copy())
-            assert compiled_m.match == scratch
-            assert legacy_m.match == scratch
+            before_dist = reference(graph)
+            before_mat = mat_pairs(matcher, pattern)
+            area = matcher.apply(updates)
+            assert_step_against_scratch(
+                matcher, pattern, graph, area, before_dist, before_mat
+            )
 
-    def test_matrix_flushes_lazily_to_scratch_state(self):
+    def test_store_matches_scratch_state(self):
         graph = random_data_graph(18, 40, num_labels=3, seed=7)
         pattern = PatternGenerator(graph, seed=7).generate_dag(4, 5, 3)
-        matcher = IncrementalMatcher(pattern, graph, use_compiled=True)
+        matcher = IncrementalMatcher(pattern, graph)
         matcher.apply(mixed_stream(graph, random.Random(7), 8))
-        assert matcher.matrix.equals(DistanceMatrix(graph.copy()))
-        assert matcher.matrix.in_sync
+        assert decoded(matcher._store) == reference(graph)
 
-    @pytest.mark.parametrize("use_compiled", [True, False])
-    def test_cyclic_insert_raises_in_both_modes(self, use_compiled):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_cyclic_insert_raises_in_both_modes(self, batched):
         graph = simple_graph()
         for node, label in [("x1", "X"), ("y1", "Y")]:
             graph.add_node(node, label=label)
         graph.add_edge("x1", "y1")
         graph.add_edge("y1", "x1")
-        matcher = IncrementalMatcher(cyclic_pattern(), graph, use_compiled=use_compiled)
+        matcher = IncrementalMatcher(cyclic_pattern(), graph)
         with pytest.raises(CyclicPatternError):
-            matcher.insert_edge("a1", "x1")
+            run_updates(matcher, [EdgeUpdate.insert("a1", "x1")], batched)
 
     def test_cyclic_insert_recompute_fallback_equivalence(self):
         graph = simple_graph()
@@ -162,53 +209,44 @@ class TestRandomizedEquivalence:
             graph.add_node(node, label=label)
         graph.add_edge("x1", "y1")
         graph.add_edge("y1", "x1")
-        legacy_graph = graph.copy()
         pattern = cyclic_pattern()
-        compiled_m = IncrementalMatcher(
-            pattern, graph, on_cyclic="recompute", use_compiled=True
+        matcher = IncrementalMatcher(pattern, graph, on_cyclic="recompute")
+        before_dist = reference(graph)
+        before_mat = mat_pairs(matcher, pattern)
+        area = matcher.insert_edge("x2", "y1")
+        assert ("X", "x2") in area.added_matches
+        assert_step_against_scratch(
+            matcher, pattern, graph, area, before_dist, before_mat
         )
-        legacy_m = IncrementalMatcher(
-            pattern, legacy_graph, on_cyclic="recompute", use_compiled=False
-        )
-        compiled_area = compiled_m.insert_edge("x2", "y1")
-        legacy_area = legacy_m.insert_edge("x2", "y1")
-        assert compiled_area.distance_changes == legacy_area.distance_changes
-        assert compiled_area.added_matches == legacy_area.added_matches
-        assert compiled_area.removed_matches == legacy_area.removed_matches
-        assert compiled_m.match == legacy_m.match == match(pattern, graph.copy())
 
 
 class TestNoOpHardening:
-    @pytest.mark.parametrize("use_compiled", [True, False])
-    def test_delete_missing_edge_is_true_noop(self, use_compiled):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_delete_missing_edge_is_true_noop(self, batched):
         graph = simple_graph()
-        matcher = IncrementalMatcher(
-            simple_dag_pattern(), graph, use_compiled=use_compiled
-        )
+        matcher = IncrementalMatcher(simple_dag_pattern(), graph)
         version = graph.version
-        snapshot = DistanceMatrix(graph.copy())
+        snapshot = reference(graph)
         before = matcher.match
-        area = matcher.delete_edge("c1", "a1")
+        area = run_updates(matcher, [EdgeUpdate.delete("c1", "a1")], batched)
         assert area.aff1_size == 0
         assert not area.removed_matches and not area.added_matches
         assert graph.version == version  # the graph was not mutated
-        assert matcher.matrix.equals(snapshot)  # nor the matrix
+        assert decoded(matcher._store) == snapshot  # nor the distance store
         assert matcher.match == before
 
-    @pytest.mark.parametrize("use_compiled", [True, False])
-    def test_insert_existing_edge_is_true_noop(self, use_compiled):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_insert_existing_edge_is_true_noop(self, batched):
         graph = simple_graph()
-        matcher = IncrementalMatcher(
-            simple_dag_pattern(), graph, use_compiled=use_compiled
-        )
+        matcher = IncrementalMatcher(simple_dag_pattern(), graph)
         version = graph.version
-        snapshot = DistanceMatrix(graph.copy())
+        snapshot = reference(graph)
         before = matcher.match
-        area = matcher.insert_edge("a1", "b1")
+        area = run_updates(matcher, [EdgeUpdate.insert("a1", "b1")], batched)
         assert area.aff1_size == 0
         assert not area.added_matches and not area.removed_matches
         assert graph.version == version
-        assert matcher.matrix.equals(snapshot)
+        assert decoded(matcher._store) == snapshot
         assert matcher.match == before
 
     def test_insert_existing_edge_does_not_require_dag(self):
@@ -217,83 +255,79 @@ class TestNoOpHardening:
         graph.add_node("x1", label="X")
         graph.add_node("y1", label="Y")
         graph.add_edge("x1", "y1")
-        for use_compiled in (True, False):
-            matcher = IncrementalMatcher(
-                cyclic_pattern(), graph.copy(), use_compiled=use_compiled
-            )
-            area = matcher.insert_edge("x1", "y1")  # exists: no CyclicPatternError
+        for batched in (True, False):
+            matcher = IncrementalMatcher(cyclic_pattern(), graph.copy())
+            # The edge exists: no CyclicPatternError.
+            area = run_updates(matcher, [EdgeUpdate.insert("x1", "y1")], batched)
             assert area.aff1_size == 0
 
-    @pytest.mark.parametrize("use_compiled", [True, False])
-    def test_batch_of_noops_is_empty(self, use_compiled):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_batch_of_noops_is_empty(self, batched):
         graph = simple_graph()
-        matcher = IncrementalMatcher(
-            simple_dag_pattern(), graph, use_compiled=use_compiled
-        )
+        matcher = IncrementalMatcher(simple_dag_pattern(), graph)
         version = graph.version
-        area = matcher.apply(
+        area = run_updates(
+            matcher,
             [
                 EdgeUpdate.delete("c1", "a1"),   # missing edge
                 EdgeUpdate.insert("a1", "b1"),   # existing edge
                 EdgeUpdate.delete("a1", "c1"),   # missing edge
-            ]
+            ],
+            batched,
         )
         assert area.total_size == 0
         assert graph.version == version
 
-    @pytest.mark.parametrize("use_compiled", [True, False])
-    def test_repeated_delete_in_one_batch(self, use_compiled):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_repeated_delete_in_one_batch(self, batched):
         """The second deletion of the same edge must be a no-op."""
         graph = simple_graph()
-        legacy = graph.copy()
+        original = graph.copy()
         pattern = simple_dag_pattern()
-        matcher = IncrementalMatcher(pattern, graph, use_compiled=use_compiled)
+        matcher = IncrementalMatcher(pattern, graph)
         updates = [EdgeUpdate.delete("b2", "c1"), EdgeUpdate.delete("b2", "c1")]
-        matcher.apply(updates)
-        assert matcher.match == match(pattern, graph.copy())
+        run_updates(matcher, updates, batched)
+        assert matcher.match == naive_match(pattern, graph.copy())
         assert not graph.has_edge("b2", "c1")
-        assert legacy.number_of_edges() - graph.number_of_edges() == 1
+        assert original.number_of_edges() - graph.number_of_edges() == 1
 
-    @pytest.mark.parametrize("use_compiled", [True, False])
-    def test_unknown_endpoints_raise(self, use_compiled):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_unknown_endpoints_raise(self, batched):
         graph = simple_graph()
-        matcher = IncrementalMatcher(
-            simple_dag_pattern(), graph, use_compiled=use_compiled
-        )
+        matcher = IncrementalMatcher(simple_dag_pattern(), graph)
         with pytest.raises(DistanceOracleError):
-            matcher.delete_edge("nope", "c1")
+            run_updates(matcher, [EdgeUpdate.delete("nope", "c1")], batched)
         with pytest.raises(DistanceOracleError):
-            matcher.insert_edge("a1", "nope")
+            run_updates(matcher, [EdgeUpdate.insert("a1", "nope")], batched)
 
 
 class TestAff1Netting:
-    @pytest.mark.parametrize("use_compiled", [True, False])
-    def test_delete_then_reinsert_nets_to_empty_aff1(self, use_compiled):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_delete_then_reinsert_nets_to_empty_aff1(self, batched):
         graph = simple_graph()
         pattern = simple_dag_pattern()
-        matcher = IncrementalMatcher(pattern, graph, use_compiled=use_compiled)
-        area = matcher.apply(
-            [EdgeUpdate.delete("b1", "c1"), EdgeUpdate.insert("b1", "c1")]
+        matcher = IncrementalMatcher(pattern, graph)
+        area = run_updates(
+            matcher,
+            [EdgeUpdate.delete("b1", "c1"), EdgeUpdate.insert("b1", "c1")],
+            batched,
         )
         assert area.aff1_size == 0
         assert not area.removed_matches and not area.added_matches
-        assert matcher.match == match(pattern, graph.copy())
+        assert matcher.match == naive_match(pattern, graph.copy())
 
     def test_merge_affected_drops_netted_pairs(self):
         first = {("a", "b"): (2, INF), ("a", "c"): (3, 4)}
         second = {("a", "b"): (INF, 2), ("a", "c"): (4, 5)}
-        merged = merge_affected(first, second)
+        merged = merge_affected_into(first, second)
         assert ("a", "b") not in merged
         assert merged[("a", "c")] == (3, 5)
 
     def test_merge_affected_drops_degenerate_inputs(self):
-        # Defensive: an old == new record must never survive a merge.
-        assert merge_affected({}, {("x", "y"): (2, 2)}) == {}
-        assert merge_affected({("x", "y"): (2, 2)}, {}) == {}
+        # Defensive: an old == new step record must never enter the net.
+        assert merge_affected_into({}, {("x", "y"): (2, 2)}) == {}
 
     def test_affected_area_merge_drops_netted_pairs(self):
-        from repro.matching.affected import AffectedArea
-
         first = AffectedArea(distance_changes={("a", "b"): (2, INF)})
         second = AffectedArea(distance_changes={("a", "b"): (INF, 2)})
         assert first.merge(second).aff1_size == 0
@@ -309,13 +343,25 @@ class TestAff1Netting:
                 old, new = rng.randint(1, 4), rng.randint(1, 4)
                 step[pair] = (old, new)
             steps.append(step)
-        copying = {}
+        # Reference: the first recorded old and the last recorded new per
+        # pair, kept only when they differ.
+        first_old = {}
+        last_new = {}
         for step in steps:
-            copying = merge_affected(copying, step)
+            for pair, (old, new) in step.items():
+                if pair not in first_old and old != new:
+                    first_old[pair] = old
+                if pair in first_old:
+                    last_new[pair] = new
+        expected = {
+            pair: (old, last_new[pair])
+            for pair, old in first_old.items()
+            if old != last_new[pair]
+        }
         in_place = {}
         for step in steps:
             merge_affected_into(in_place, step)
-        assert copying == in_place
+        assert in_place == expected
 
 
 class TestCompiledUpdateProcedures:
@@ -323,18 +369,18 @@ class TestCompiledUpdateProcedures:
     def test_store_batch_matches_matrix_batch(self, seed):
         rng = random.Random(seed)
         graph = random_data_graph(15, 30, num_labels=3, seed=seed)
-        legacy_graph = graph.copy()
-        matrix = DistanceMatrix(legacy_graph)
+        before = reference(graph)
         compiled = compile_graph(graph)
         store = InternedDistanceStore.from_matrix(DistanceMatrix(graph), compiled)
         updates = mixed_stream(graph, rng, 8)
         interned = update_store_batch(store, updates)
-        legacy = update_matrix_batch(matrix, updates)
         node_of = compiled.node_of
-        decoded = {
+        aff1 = {
             (node_of(x), node_of(y)): change for (x, y), change in interned.items()
         }
-        assert decoded == legacy
+        after = reference(graph)
+        assert aff1 == net_change(before, after)
+        assert decoded(store) == after
 
     def test_store_noop_updates_touch_nothing(self):
         graph = simple_graph()
@@ -391,7 +437,7 @@ class TestSnapshotPatching:
     def test_compile_cache_serves_patched_snapshot_without_recompile(self):
         graph = simple_graph()
         pattern = simple_dag_pattern()
-        matcher = IncrementalMatcher(pattern, graph, use_compiled=True)
+        matcher = IncrementalMatcher(pattern, graph)
         pinned = compile_graph(graph)
         matcher.apply(
             [EdgeUpdate.delete("b2", "c1"), EdgeUpdate.insert("b1", "b2")]
@@ -400,7 +446,7 @@ class TestSnapshotPatching:
         # against the same graph reuses it instead of recompiling.
         assert compile_graph(graph) is pinned
         assert pinned.version == graph.version
-        assert matcher.match == match(pattern, graph.copy())
+        assert matcher.match == naive_match(pattern, graph.copy())
 
     def test_intern_node_appends_stable_indices(self):
         graph = simple_graph()
@@ -421,7 +467,7 @@ class TestSnapshotPatching:
     def test_out_of_band_node_growth_reinterned_by_matcher(self):
         graph = simple_graph()
         pattern = simple_dag_pattern()
-        matcher = IncrementalMatcher(pattern, graph, use_compiled=True)
+        matcher = IncrementalMatcher(pattern, graph)
         graph.add_node("b3", label="B")
         graph.add_node("a3", label="A")
         area = matcher.apply(
@@ -429,18 +475,42 @@ class TestSnapshotPatching:
         )
         assert ("B", "b3") in area.added_matches
         assert ("A", "a3") in area.added_matches
-        assert matcher.match == match(pattern, graph.copy())
+        assert matcher.match == naive_match(pattern, graph.copy())
 
     def test_out_of_band_edge_mutation_triggers_full_repin(self):
         graph = simple_graph()
         pattern = simple_dag_pattern()
-        matcher = IncrementalMatcher(pattern, graph, use_compiled=True)
+        matcher = IncrementalMatcher(pattern, graph)
         # Mutate behind the matcher's back: the next operation must re-pin
         # and repair rather than trust the stale snapshot.
         graph.remove_edge("b2", "c1")
         area = matcher.delete_edge("b1", "c1")
         assert area is not None
-        assert matcher.match == match(pattern, graph.copy())
+        assert matcher.match == naive_match(pattern, graph.copy())
+
+
+class TestStandingMatcherRepin:
+    def test_round_robin_batches_repin_through_build_store(self):
+        """Two standing matchers on one session take turns patching the
+        shared snapshot; each re-pins its store on the other's patches."""
+        graph = random_data_graph(30, 70, num_labels=4, seed=21)
+        generator = PatternGenerator(graph, seed=21)
+        patterns = [generator.generate_dag(4, 4, 3), generator.generate_dag(3, 3, 2)]
+        rng = random.Random(21)
+        session = MatchSession(graph)
+        for round_index in range(6):
+            pattern = patterns[round_index % 2]
+            result, _ = session.apply_updates(pattern, mixed_stream(graph, rng, 5))
+            assert result == naive_match(pattern, graph.copy())
+            distances = reference(graph)
+            for other in patterns:
+                matcher = session.incremental_matcher(other)
+                matcher.apply([])  # the idle matcher re-pins here
+                expected = naive_match(other, graph.copy())
+                assert matcher.match == expected
+                assert decoded(matcher._store) == distances
+                assert session.match(other) == expected
+                assert match(other, graph) == expected
 
 
 class TestWeakCompileCache:

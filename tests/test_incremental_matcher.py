@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.distance.incremental import EdgeUpdate
-from repro.distance.matrix import DistanceMatrix
 from repro.exceptions import CyclicPatternError, IncrementalError
 from repro.graph.builders import (
     collaboration_graph,
@@ -56,18 +55,6 @@ class TestInitialisation:
         assert "b3" in matcher.can("B")
         assert "b3" not in matcher.mat("B")
         assert matcher.mat("B") == {"b1", "b2"}
-
-    def test_reuses_supplied_matrix(self):
-        graph = simple_graph()
-        matrix = DistanceMatrix(graph)
-        matcher = IncrementalMatcher(simple_dag_pattern(), graph, matrix=matrix)
-        assert matcher.matrix is matrix
-
-    def test_matrix_over_other_graph_rejected(self):
-        graph = simple_graph()
-        other = simple_graph()
-        with pytest.raises(IncrementalError):
-            IncrementalMatcher(simple_dag_pattern(), graph, matrix=DistanceMatrix(other))
 
     def test_invalid_on_cyclic_option(self):
         with pytest.raises(IncrementalError):

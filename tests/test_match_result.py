@@ -73,11 +73,9 @@ class TestQueries:
         assert result.average_matches_per_pattern_node() == pytest.approx(1.5)
         assert MatchResult.empty().average_matches_per_pattern_node() == 0.0
 
-    def test_as_dict_and_to_dict(self):
+    def test_as_dict(self):
         result = MatchResult({"A": {"x"}})
         assert result.as_dict() == {"A": frozenset({"x"})}
-        with pytest.deprecated_call():
-            assert result.to_dict() == {"A": ["x"]}
 
 
 class TestComparison:

@@ -1,8 +1,8 @@
 """Property-based tests for the compiled matching path.
 
 The compiled bitset refinement must be *relation-identical* to the naive
-greatest-fixpoint reference and to the legacy set-based implementations, on
-random graphs and random patterns, for every distance oracle.  These tests
+greatest-fixpoint reference on random graphs and random patterns, for every
+distance oracle, cold and warm.  These tests
 are the acceptance gate of the compiled core: any divergence between the
 interned/bitset world and the original node-id world is a bug.
 """
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.distance.bfs import BFSDistanceOracle
 from repro.distance.matrix import DistanceMatrix
 from repro.distance.twohop import TwoHopOracle
+from repro.engine.session import MatchSession
 from repro.graph.compiled import compile_graph
 from repro.graph.datagraph import DataGraph
 from repro.graph.pattern import Pattern
@@ -89,11 +90,15 @@ class TestCompiledMatchProperties:
     @SETTINGS
     @given(pattern_graph_pairs())
     def test_compiled_match_agrees_with_legacy_set_path(self, pair):
+        """A held session over the precomputed matrix, cold then warm."""
         pattern, graph = pair
-        oracle = DistanceMatrix(graph)
-        compiled = match(pattern, graph, oracle, use_compiled=True)
-        legacy = match(pattern, graph, oracle, use_compiled=False)
-        assert compiled == legacy
+        reference = naive_match(pattern, graph)
+        session = MatchSession(graph, oracle=DistanceMatrix(graph))
+        assert session.match(pattern) == reference
+        assert session.match_many([pattern, pattern], parallel=False) == [
+            reference,
+            reference,
+        ]
 
     @SETTINGS
     @given(pattern_graph_pairs())
@@ -113,9 +118,9 @@ class TestCompiledMatchProperties:
     @given(pattern_graph_pairs(traditional=True))
     def test_compiled_graph_simulation_agrees_with_legacy(self, pair):
         pattern, graph = pair
-        assert graph_simulation(pattern, graph) == graph_simulation(
-            pattern, graph, use_compiled=False
-        )
+        # Every edge of a traditional pattern has bound 1, so the naive
+        # bounded fixpoint is exactly graph simulation.
+        assert graph_simulation(pattern, graph) == naive_match(pattern, graph)
 
     @SETTINGS
     @given(pattern_graph_pairs(traditional=True))

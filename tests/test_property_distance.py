@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from repro.distance.bfs import BFSDistanceOracle
 from repro.distance.incremental import (
     EdgeUpdate,
-    update_matrix_batch,
-    update_matrix_delete,
-    update_matrix_insert,
+    build_store,
+    update_store_batch,
+    update_store_delete,
+    update_store_insert,
 )
 from repro.distance.matrix import DistanceMatrix
 from repro.distance.oracle import INF
 from repro.distance.twohop import TwoHopOracle
+from repro.graph.compiled import compile_graph
 from repro.graph.datagraph import DataGraph
 
 SETTINGS = settings(
@@ -24,6 +26,21 @@ SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def decoded(store):
+    """The store's finite entries keyed by node ids."""
+    node_of = store.compiled.node_of
+    return {
+        (node_of(i), node_of(j)): dist
+        for i, row in enumerate(store.rows)
+        for j, dist in row.items()
+    }
+
+
+def reference(graph):
+    """Finite entries of a fresh DistanceMatrix over a copy of *graph*."""
+    return {(s, t): d for s, t, d in DistanceMatrix(graph.copy()).finite_pairs()}
 
 
 @st.composite
@@ -102,13 +119,13 @@ class TestIncrementalMaintenance:
     @given(graph_with_updates())
     def test_incremental_updates_match_full_recompute(self, graph_and_updates):
         graph, updates = graph_and_updates
-        matrix = DistanceMatrix(graph)
+        store = build_store(compile_graph(graph))
         for update in updates:
             if update.is_insert and not graph.has_edge(update.source, update.target):
-                update_matrix_insert(matrix, update.source, update.target)
+                update_store_insert(store, update.source, update.target)
             elif update.is_delete and graph.has_edge(update.source, update.target):
-                update_matrix_delete(matrix, update.source, update.target)
-            assert matrix.equals(DistanceMatrix(graph))
+                update_store_delete(store, update.source, update.target)
+            assert decoded(store) == reference(graph)
 
     @SETTINGS
     @given(graph_with_updates())
@@ -116,15 +133,17 @@ class TestIncrementalMaintenance:
         self, graph_and_updates
     ):
         graph, updates = graph_and_updates
-        before = DistanceMatrix(graph).copy()
-        matrix = DistanceMatrix(graph)
-        affected = update_matrix_batch(matrix, updates)
-        recomputed = DistanceMatrix(graph)
-        assert matrix.equals(recomputed)
-        for (source, target), (old, new) in affected.items():
+        before = reference(graph)
+        store = build_store(compile_graph(graph))
+        affected = update_store_batch(store, updates)
+        recomputed = reference(graph)
+        assert decoded(store) == recomputed
+        node_of = store.compiled.node_of
+        for (x, y), (old, new) in affected.items():
+            pair = (node_of(x), node_of(y))
             assert old != new
-            assert old == before.row(source).get(target, INF)
-            assert new == recomputed.distance(source, target)
+            assert old == before.get(pair, INF)
+            assert new == recomputed.get(pair, INF)
 
     @SETTINGS
     @given(digraphs())
@@ -135,8 +154,8 @@ class TestIncrementalMaintenance:
         source, target = nodes[0], nodes[-1]
         if source == target or graph.has_edge(source, target):
             return
-        matrix = DistanceMatrix(graph)
-        before = matrix.copy()
-        update_matrix_insert(matrix, source, target)
-        update_matrix_delete(matrix, source, target)
-        assert matrix.equals(before)
+        store = build_store(compile_graph(graph))
+        before = decoded(store)
+        update_store_insert(store, source, target)
+        update_store_delete(store, source, target)
+        assert decoded(store) == before

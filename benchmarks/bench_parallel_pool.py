@@ -16,14 +16,6 @@ one-session-per-query loop cannot.
   is architectural, so it holds even on a single core: every query of the
   batch flows through pinned workers sharing one warm seed-memo/ball-cache
   lineage, while the loop rebuilds that state per call.
-* **intra-query** — ``match_parallel``: candidate-ball computation for one
-  query partitioned across the pool, merged into the session's memo, then
-  the ordinary serial fixpoint.  The session now *estimates* the ball work
-  per worker first and declines the pool below
-  :data:`~repro.engine.session.INTRA_QUERY_MIN_WORK_PER_WORKER` (recorded
-  in ``stats()["intra_fallbacks"]``), so small candidate sets never pay
-  partitioning overhead.  **Gate:** parity (>= 0.85x) when the session
-  fell back, >= 1.2x when it actually primed on >= 2 CPUs.
 
 Ratios land in ``BENCH_engine.json`` at the repo root (see
 ``benchmarks/README.md`` for the schema) next to the engine-batch ratios.
@@ -32,7 +24,6 @@ Ratios land in ``BENCH_engine.json`` at the repo root (see
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -129,53 +120,3 @@ def test_bench_pooled_match_many_vs_match_loop(benchmark, setup):
     assert speedup >= 1.5, (
         f"pooled match_many only {speedup:.2f}x faster than the per-call loop"
     )
-
-
-def test_bench_intra_query_ball_priming(benchmark, setup):
-    """``match_parallel`` (pool-partitioned ball computation) vs plain ``match``."""
-    graph, patterns = setup
-    pattern = patterns[0]
-    workers = os.cpu_count() or 1
-
-    def serial_run():
-        with MatchSession(graph) as session:
-            return session.match(pattern)
-
-    session_stats = {}
-
-    def intra_run():
-        with MatchSession(graph) as session:
-            result = session.match_parallel(
-                pattern, max_workers=min(4, max(2, workers))
-            )
-            session_stats.update(session.stats())
-            return result
-
-    expected = serial_run()
-    got = intra_run()
-    assert got.as_dict() == expected.as_dict()
-
-    benchmark.pedantic(intra_run, rounds=1, iterations=1)
-    serial_s = best_of(serial_run, repeats=2)
-    intra_s = best_of(intra_run, repeats=2)
-    speedup = _record(benchmark, "intra_query", serial_s, intra_s)
-    benchmark.extra_info["intra_fallbacks"] = session_stats.get("intra_fallbacks", 0)
-    if session_stats.get("intra_fallbacks"):
-        # The work estimate declined the pool: match_parallel ran the balls
-        # inline, so the gate is parity with plain match() — the whole point
-        # of the fallback is that small candidate sets no longer pay
-        # partitioning overhead (the old 0.96x regression).
-        assert speedup >= 0.85, (
-            f"intra-query fallback {speedup:.2f}x — declining the pool "
-            "should cost (almost) nothing over plain match()"
-        )
-    elif workers >= 2:
-        assert speedup >= 1.2, (
-            f"intra-query priming only {speedup:.2f}x on {workers} CPUs"
-        )
-    else:
-        # One core: partitioning balls across workers cannot win wall-clock;
-        # the floor only catches runaway dispatch overhead.
-        assert speedup >= 0.4, (
-            f"intra-query priming {speedup:.2f}x — pool overhead blew up"
-        )

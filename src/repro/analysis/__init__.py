@@ -4,8 +4,7 @@ The engine's correctness rests on a handful of cross-cutting disciplines
 that no general-purpose linter knows about: every memoised read must be
 guarded by a snapshot version (or validate the entry against its inputs),
 every snapshot-derived cache must subscribe to the patch layer or track a
-version, worker code reached from ``attach_shared`` must never mutate the
-snapshot, and raw interned-id bitsets must never cross the public API
+version, and raw interned-id bitsets must never cross the public API
 boundary.  This package makes those implicit contracts explicit and
 machine-checkable:
 

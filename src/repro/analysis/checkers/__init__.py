@@ -8,7 +8,6 @@ and CI logs):
 ========================  ====================================================
 ``version-guard``         memo reads must sit behind a snapshot-version check
 ``patch-listener``        snapshot-derived caches must subscribe or version
-``shared-readonly``       attach_shared worker paths must not mutate snapshots
 ``decode-boundary``       public surfaces must not leak interned-id bitsets
 ========================  ====================================================
 """
@@ -18,13 +17,11 @@ from __future__ import annotations
 from repro.analysis.checkers import (  # noqa: F401
     decode_boundary,
     patch_listener,
-    shared_readonly,
     version_guard,
 )
 
 __all__ = [
     "decode_boundary",
     "patch_listener",
-    "shared_readonly",
     "version_guard",
 ]

@@ -87,7 +87,6 @@ RULE_ORDER = (
     "parse-error",
     "version-guard",
     "patch-listener",
-    "shared-readonly",
     "decode-boundary",
     "suppression",
 )

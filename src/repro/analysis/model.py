@@ -8,8 +8,8 @@ layer answers the questions the engine's invariants are phrased in:
 * which functions contain a snapshot-version comparison (directly, or by
   calling a same-module helper that does — the ``_check_version`` idiom);
 * which names a module imports, and under what alias;
-* which functions call which bare/attribute names (a cheap, name-based
-  call graph good enough for reachability checks like shared-readonly).
+* which bare/attribute names each function calls (a cheap, name-based
+  call graph; the version-guard rule follows it to guard helpers).
 
 Everything here is pure stdlib and purely syntactic: no imports of the
 analysed code, no evaluation.
@@ -57,11 +57,6 @@ VERSION_ATTR_NAMES = frozenset(
         "_pinned_version",
         "expected_version",
     }
-)
-
-#: Mutating snapshot APIs (the shared-readonly rule's deny list).
-MUTATING_SNAPSHOT_CALLS = frozenset(
-    {"patch_edge_insert", "patch_edge_delete", "intern_node", "intern_value"}
 )
 
 
@@ -118,8 +113,6 @@ class FunctionModel:
     class_name: Optional[str] = None
     #: Bare/attribute names this function calls (name-based call graph edge).
     calls: Set[str] = field(default_factory=set)
-    #: Dotted forms of those calls where resolvable (``self._serve`` etc).
-    dotted_calls: Set[str] = field(default_factory=set)
     #: True if the body contains a comparison mentioning a version attribute.
     has_version_compare: bool = False
     #: Parameter names.
@@ -230,9 +223,6 @@ def _scan_function(fn: FunctionModel) -> None:
             name = call_name(sub)
             if name:
                 fn.calls.add(name)
-            dotted = dotted_name(sub.func)
-            if dotted:
-                fn.dotted_calls.add(dotted)
         elif isinstance(sub, ast.Compare):
             if _compare_mentions_version(sub):
                 fn.has_version_compare = True

@@ -2,8 +2,8 @@
 
 Checkers subclass :class:`Checker` and register with :func:`register`.
 Each run builds one :class:`Project` from all analysed modules so rules
-that need cross-module facts (the shared-readonly reachability walk, the
-guard-helper set) see the whole input, then every checker's :meth:`check`
+that need cross-module facts (inherited memo attributes, the guard-helper
+set) see the whole input, then every checker's :meth:`check`
 runs once per module.
 """
 

@@ -2,7 +2,7 @@
 
 ``REPRO_SANITIZE=1`` arms thin assertion hooks at the engine's trust
 boundaries — cache put/get, patch application, the edge-memo fast path,
-ball priming, and the worker-pool handshake — verifying at runtime the
+the oracle's ball memo, and the worker-pool handshake — verifying at runtime the
 same invariants ``repro lint`` checks statically.  One CI lane runs the
 engine/parallel/distance suites with the sanitizer armed.
 
@@ -58,22 +58,21 @@ def cache_put(cache_name: str, key: object, value: object) -> None:
 
 
 def result_cache_put(key: object, result: object) -> None:
-    """ResultCache keys are ``(fingerprint, version, strategy[, order])``.
+    """ResultCache keys are ``(fingerprint, version, strategy)``.
 
-    The trailing order digest was added by the cost-based planner; legacy
-    3-tuple keys (no digest) remain valid.  The snapshot version must stay
-    at index 1 — stale-entry eviction reads it positionally.
+    The snapshot version must stay at index 1 — stale-entry eviction reads
+    it positionally.
     """
     if (
         not isinstance(key, tuple)
-        or len(key) not in (3, 4)
+        or len(key) != 3
         or not isinstance(key[0], str)
         or not isinstance(key[1], int)
-        or not all(isinstance(part, str) for part in key[2:])
+        or not isinstance(key[2], str)
     ):
         fail(
             f"ResultCache.put: malformed key {key!r}; expected "
-            "(fingerprint: str, version: int, strategy: str[, order: str])"
+            "(fingerprint: str, version: int, strategy: str)"
         )
     from repro.matching.match_result import MatchResult
 
@@ -130,28 +129,32 @@ def edge_memo_hit(entry) -> None:
 
 
 # ----------------------------------------------------------------------
-# ball priming (worker -> session handoff)
+# ball memo
 # ----------------------------------------------------------------------
 
 
 def primed_ball(ball, num_nodes: int) -> None:
-    """A primed ball must be compact and within the snapshot's id range."""
+    """A ball entering the oracle's memo must be compact and in id range.
+
+    Sparse balls are index tuples, dense ones bitset ints; either way every
+    member must be an interned id of the snapshot the memo is pinned to.
+    """
     if type(ball) is tuple:
         for index in ball:
             if type(index) is not int or index < 0 or index >= num_nodes:
                 fail(
-                    f"primed sparse ball contains out-of-range index "
+                    f"memoised sparse ball contains out-of-range index "
                     f"{index!r} (snapshot has {num_nodes} nodes)"
                 )
     elif type(ball) is int:
         if ball < 0 or ball >> num_nodes:
             fail(
-                "primed dense ball has bits outside the snapshot's "
+                "memoised dense ball has bits outside the snapshot's "
                 f"{num_nodes}-node id range"
             )
     else:
         fail(
-            f"primed ball must be an index tuple or a bitset int, got "
+            f"memoised ball must be an index tuple or a bitset int, got "
             f"{type(ball).__name__}"
         )
 
@@ -164,12 +167,12 @@ _RESULT_STATUSES = frozenset({"ok", "stale", "error", "ack", "fault", "malformed
 
 
 def pool_task(task) -> None:
-    """Tasks are ``(task_id, kind, expected_version, payload)``."""
-    if not isinstance(task, tuple) or len(task) != 4:
-        fail(f"worker task has shape {type(task).__name__}; expected 4-tuple")
-    task_id, kind, expected_version, _payload = task
-    if not isinstance(task_id, int) or not isinstance(kind, str):
-        fail(f"worker task has malformed id/kind: {task_id!r}, {kind!r}")
+    """Tasks are ``(task_id, expected_version, (pattern, plan))``."""
+    if not isinstance(task, tuple) or len(task) != 3:
+        fail(f"worker task has shape {type(task).__name__}; expected 3-tuple")
+    task_id, expected_version, _payload = task
+    if not isinstance(task_id, int):
+        fail(f"worker task has malformed id: {task_id!r}")
     if not isinstance(expected_version, int):
         fail(
             "worker task carries no integer expected_version; the "

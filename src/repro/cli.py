@@ -306,12 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-task deadline in seconds (default: 0.5)",
     )
     chaos_parser.add_argument(
-        "--start-method",
-        choices=["fork", "spawn"],
-        default=None,
-        help="pool start method (default: platform pick)",
-    )
-    chaos_parser.add_argument(
         "--no-mutate",
         action="store_true",
         help="keep the graph fixed between rounds",
@@ -438,7 +432,7 @@ def _command_query(args: argparse.Namespace) -> int:
         pool = stats.get("pool")
         if pool:
             print(
-                f"worker pool ({pool['start_method']}): {pool['workers']} worker(s), "
+                f"worker pool: {pool['workers']} worker(s), "
                 f"{pool['workers_spawned']} spawned, {pool['repin_count']} re-pin(s), "
                 f"queue hwm {pool['queue_depth_hwm']}, "
                 f"{pool['serial_fallbacks']} serial fallback(s)"
@@ -592,7 +586,6 @@ def _command_chaos(args: argparse.Namespace) -> int:
                 rounds=args.rounds,
                 workers=args.workers,
                 task_timeout=args.task_timeout,
-                start_method=args.start_method,
                 mutate=not args.no_mutate,
             )
         except FaultPlanError as exc:

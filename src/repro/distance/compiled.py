@@ -467,6 +467,8 @@ class CompiledDistanceMatrix(DistanceOracle):
             )
             if ball is None:
                 ball = self._kernel.ball_bits(index, bound, reverse=not forward)
+            if _sanitize.ENABLED:
+                _sanitize.primed_ball(ball, self._compiled.num_nodes)
             self._bits_lru.put(key, ball)
         return ball
 
@@ -510,20 +512,6 @@ class CompiledDistanceMatrix(DistanceOracle):
         if compiled is self._compiled:
             return self._compact_ball(source, bound, True)
         return super().descendants_compact(compiled, source, bound)
-
-    def prime_ball(self, index: int, bound: Optional[int], ball, *, forward: bool = True) -> None:
-        """Seed a precomputed ball into the memo (e.g. from a worker pool).
-
-        *ball* must be in the compact representation of
-        :meth:`_compact_ball` — an index tuple or a dense bitset — and must
-        have been computed against the current snapshot; callers coordinate
-        versions (the engine's worker protocol rejects stale answers before
-        they reach here).
-        """
-        self._sync()
-        if _sanitize.ENABLED:
-            _sanitize.primed_ball(ball, self._compiled.num_nodes)
-        self._bits_lru.put((index, bound, forward), ball)
 
     # ------------------------------------------------------------------
     # IncMatch handoff

@@ -7,9 +7,8 @@
   selection;
 * :class:`ResultCache` — the ``(fingerprint, snapshot version, strategy)``
   keyed result cache with patch-layer invalidation;
-* :class:`WorkerPool` — the session-owned persistent process pool behind
-  parallel :meth:`MatchSession.match_many` and
-  :meth:`MatchSession.match_parallel`.
+* :class:`WorkerPool` — the session-owned persistent fork pool behind
+  parallel :meth:`MatchSession.match_many`; it runs whole queries.
 """
 
 from repro.engine.cache import DEFAULT_RESULT_CACHE_SIZE, ResultCache

@@ -26,6 +26,9 @@ __all__ = ["ResultCache", "DEFAULT_RESULT_CACHE_SIZE"]
 #: Default cap on cached match results per session.
 DEFAULT_RESULT_CACHE_SIZE = 256
 
+#: ``(pattern fingerprint, snapshot version, strategy)`` — the plan's
+#: :attr:`~repro.engine.planner.QueryPlan.cache_key`.
+#: :meth:`ResultCache.evict_stale` reads the version at index 1.
 CacheKey = Tuple[str, int, str]
 
 

@@ -7,13 +7,13 @@ moderately sized workloads the "parallel" path lost to the serial loop it
 was meant to beat.  This module replaces it with a :class:`WorkerPool` that
 a :class:`~repro.engine.session.MatchSession` owns for its lifetime:
 
-* workers are **forked once** and then pull work units from a task queue
-  until the pool is shut down, so each worker's session state (ball memos,
-  edge-type seeds, result cache) stays warm across batches;
-* on platforms without ``fork`` the pool falls back to ``spawn`` workers
-  that attach the snapshot's CSR pages and interning table zero-copy
-  through :meth:`~repro.graph.compiled.CompiledGraph.export_shared` /
-  ``attach_shared`` instead of re-pickling the graph per worker;
+* workers are **forked once** and then pull whole ``(pattern, plan)``
+  work units from a task queue until the pool is shut down, so each
+  worker's session state (ball memos, edge-type seeds, result cache) stays
+  warm across batches;
+* the pool needs the ``fork`` start method: on platforms without it the
+  session never builds one and :meth:`MatchSession.match_many` runs its
+  serial loop;
 * every task carries the **snapshot version** it was planned against, and
   workers answer ``stale`` for versions they are not pinned to — the parent
   transparently recomputes those units serially and re-pins the pool
@@ -46,8 +46,8 @@ so the chaos suite can fire each one deterministically and assert results
 stay byte-identical to serial execution.
 
 The snapshot is strictly read-only for the workers: anything a worker
-materialises lives in its own (copy-on-write or attached) memory and is
-never written back.
+materialises lives in its own copy-on-write memory and is never written
+back.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import queue as queue_module
 import signal
 import time
 import weakref
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import sanitize as _sanitize
 from repro.matching.match_result import MatchResult
@@ -70,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.session import MatchSession
     from repro.graph.pattern import Pattern
 
-__all__ = ["fork_available", "WorkerPool", "AttachedExecutor", "DEFAULT_TASK_TIMEOUT"]
+__all__ = ["fork_available", "WorkerPool", "DEFAULT_TASK_TIMEOUT"]
 
 #: Seconds a dispatched task may run (queue wait, then execution after its
 #: ack) before the parent declares its worker hung and re-dispatches.
@@ -85,8 +85,8 @@ _WORKER_SESSION: Optional["MatchSession"] = None
 
 
 def fork_available() -> bool:
-    """``True`` when the ``fork`` start method exists on this platform."""
-    return "fork" in multiprocessing.get_all_start_methods()
+    """``True`` when this platform can fork worker processes."""
+    return hasattr(os, "fork")
 
 
 # ----------------------------------------------------------------------
@@ -94,12 +94,12 @@ def fork_available() -> bool:
 # ----------------------------------------------------------------------
 
 
-def _serve(executor, compiled, tasks, results, worker_id: int) -> None:
-    """The worker loop shared by both start methods.
+def _serve(session: "MatchSession", tasks, results, worker_id: int) -> None:
+    """The worker loop: answer ``(pattern, plan)`` units with ``session._execute``.
 
-    *executor* answers ``execute(pattern, plan)`` and ``balls(bound,
-    sources)``; *compiled* carries the pinned snapshot version the
-    handshake compares against.  ``None`` on the task queue stops the loop.
+    *session* is the inherited session; its pinned snapshot's version is
+    what the handshake compares against.  ``None`` on the task queue stops
+    the loop.
 
     Every task is acknowledged (``ack``) before execution so the parent can
     attribute in-flight work to this process; worker-side fault points
@@ -113,7 +113,7 @@ def _serve(executor, compiled, tasks, results, worker_id: int) -> None:
         if _sanitize.ENABLED:
             _sanitize.pool_task(task)
         try:
-            task_id, kind, expected_version, payload = task
+            task_id, expected_version, (pattern, plan) = task
         except (TypeError, ValueError):
             # A corrupted task cannot be answered by id; report it and move
             # on — the parent's per-task deadline re-dispatches the lost
@@ -137,18 +137,10 @@ def _serve(executor, compiled, tasks, results, worker_id: int) -> None:
                     pass
                 time.sleep(_faults.arg("worker.hang", 60.0))
         try:
-            if compiled.version != expected_version:
+            if session._compiled.version != expected_version:
                 results.put((worker_id, task_id, "stale", None))
                 continue
-            if kind == "unit":
-                pattern, plan = payload
-                answer = executor.execute(pattern, plan)
-            elif kind == "balls":
-                bound, sources = payload
-                answer = executor.balls(bound, sources)
-            else:
-                results.put((worker_id, task_id, "error", f"unknown task kind {kind!r}"))
-                continue
+            answer = session._execute(pattern, plan)
             if _faults.ENABLED:
                 if _faults.should_fire("queue.stall"):
                     # Simulated result-queue stall: the answer is computed
@@ -167,155 +159,11 @@ def _serve(executor, compiled, tasks, results, worker_id: int) -> None:
                 break
 
 
-class _ForkExecutor:
-    """Fork-side executor: a thin veneer over the inherited session."""
-
-    __slots__ = ("_session",)
-
-    def __init__(self, session: "MatchSession") -> None:
-        self._session = session
-
-    def execute(self, pattern: "Pattern", plan: "QueryPlan") -> MatchResult:
-        return self._session._execute(pattern, plan)
-
-    def balls(self, bound, sources: Sequence[int]) -> List[Tuple[int, object]]:
-        session = self._session
-        compiled = session._compiled
-        oracle = session.oracle
-        descendants = getattr(oracle, "descendants_compact", None)
-        if descendants is None:
-            descendants = oracle.descendants_within_bits
-        return [(s, descendants(compiled, s, bound)) for s in sources]
-
-
 def _fork_worker_main(worker_id: int, tasks, results) -> None:
     """Entry point of fork workers; the session arrives via copy-on-write."""
     if _faults.ENABLED:
         _faults.reseed(worker_id + 1)
-    session = _WORKER_SESSION
-    _serve(_ForkExecutor(session), session._compiled, tasks, results, worker_id)
-
-
-class AttachedExecutor:
-    """Query executor over a shared-memory-attached snapshot (spawn workers).
-
-    A spawned worker has no :class:`~repro.graph.datagraph.DataGraph` and no
-    :class:`~repro.engine.session.MatchSession` — only the attached
-    :class:`~repro.graph.compiled.CompiledGraph`.  This executor reproduces
-    the session's compiled execution path on top of it: candidate bitsets
-    from the attached attribute index, balls from the attached snapshot's
-    flat kernel behind a local LRU, the shared worklist fixpoint with a
-    local edge-type seed memo.  It also serves as the oracle object the
-    refinement consults (``descendants_compact`` duck-typing).
-    """
-
-    def __init__(self, compiled, *, bits_cache_size: Optional[int] = 65536) -> None:
-        from repro.distance.oracle import BoundedBitsCache
-
-        self._compiled = compiled
-        self._kernel = compiled.flat_kernel()
-        self._bits = BoundedBitsCache(bits_cache_size)
-        self._edge_memo = BoundedBitsCache(512)
-        # Attached snapshots are immutable in-process, but the handshake
-        # re-uses one executor across tasks; pin the version the caches
-        # were filled against so a future re-attach cannot serve them stale.
-        self._pinned_version = compiled.version
-
-    def _check_version(self) -> None:
-        if self._pinned_version != self._compiled.version:
-            self._bits.clear()
-            self._edge_memo.clear()
-            self._kernel = self._compiled.flat_kernel()
-            self._pinned_version = self._compiled.version
-
-    # -- oracle duck-type ----------------------------------------------
-
-    def descendants_compact(self, compiled, source: int, bound):
-        self._check_version()
-        key = (source, bound, True)
-        ball = self._bits.get(key)
-        if ball is None:
-            cutoff = max(128, compiled.num_nodes >> 6)
-            ball = self._kernel.ball_nodes(source, bound, cutoff=cutoff)
-            if ball is None:
-                ball = self._kernel.ball_bits(source, bound)
-            self._bits.put(key, ball)
-        return ball
-
-    def descendants_within_bits(self, compiled, source: int, bound) -> int:
-        ball = self.descendants_compact(compiled, source, bound)
-        if type(ball) is tuple:
-            bits = 0
-            for i in ball:
-                bits |= 1 << i
-            return bits
-        return ball
-
-    def ancestors_within_bits(self, compiled, target: int, bound) -> int:
-        return self._kernel.ball_bits(target, bound, reverse=True)
-
-    # -- work-unit execution -------------------------------------------
-
-    def execute(self, pattern: "Pattern", plan: "QueryPlan") -> MatchResult:
-        from repro.engine.planner import STRATEGY_SIMULATION
-        from repro.matching.bounded import candidate_bits, refine_bits_to_fixpoint
-        from repro.matching.simulation import ADJACENCY_ORACLE
-
-        self._check_version()
-        compiled = self._compiled
-        pattern_nodes = pattern.node_list()
-        if not pattern_nodes or compiled.num_nodes == 0:
-            return MatchResult.empty(pattern_nodes)
-        mat_bits = candidate_bits(pattern, compiled)
-        for bits in mat_bits.values():
-            if not bits:
-                return MatchResult.empty(pattern_nodes)
-        oracle = ADJACENCY_ORACLE if plan.strategy == STRATEGY_SIMULATION else self
-        refine_bits_to_fixpoint(
-            pattern,
-            oracle,
-            compiled,
-            mat_bits,
-            stop_when_empty=True,
-            edge_memo=self._edge_memo,
-            memo_tag=plan.strategy,
-            edge_order=plan.edge_order or None,
-        )
-        if any(not bits for bits in mat_bits.values()):
-            return MatchResult.empty(pattern_nodes)
-        return MatchResult(
-            {u: compiled.decode(bits) for u, bits in mat_bits.items()},
-            pattern_nodes=pattern_nodes,
-        )
-
-    def balls(self, bound, sources: Sequence[int]) -> List[Tuple[int, object]]:
-        compiled = self._compiled
-        return [(s, self.descendants_compact(compiled, s, bound)) for s in sources]
-
-
-def _spawn_worker_main(worker_id: int, descriptor, tasks, results) -> None:
-    """Entry point of spawn workers: attach the exported snapshot, serve."""
-    from repro.graph.compiled import CompiledGraph
-
-    if _faults.ENABLED:
-        _faults.reseed(worker_id + 1)
-    try:
-        compiled = CompiledGraph.attach_shared(descriptor)
-    except Exception:
-        # Attach failed mid-start (real shm error, or the ``attach.fail``
-        # fault point): report and exit — the parent observes the death and
-        # serves the batch serially.
-        try:
-            results.put((worker_id, -1, "fault", "attach.fail"))
-        except Exception:  # pragma: no cover - result queue gone
-            pass
-        return
-    try:
-        # Startup ack (task id -1): tells the parent this worker is serving.
-        results.put((worker_id, -1, "ack", None))
-        _serve(AttachedExecutor(compiled), compiled, tasks, results, worker_id)
-    finally:
-        compiled.shared_handle.close()
+    _serve(_WORKER_SESSION, tasks, results, worker_id)
 
 
 # ----------------------------------------------------------------------
@@ -357,11 +205,10 @@ def _reap(processes: List, task_queue) -> None:
 class _PendingTask:
     """Parent-side record of one dispatched (or retry-dormant) task."""
 
-    __slots__ = ("slot", "kind", "payload", "attempts", "deadline", "owner", "not_before")
+    __slots__ = ("slot", "payload", "attempts", "deadline", "owner", "not_before")
 
-    def __init__(self, slot: int, kind: str, payload) -> None:
+    def __init__(self, slot: int, payload: Tuple["Pattern", "QueryPlan"]) -> None:
         self.slot = slot
-        self.kind = kind
         self.payload = payload
         self.attempts = 0
         self.deadline = 0.0
@@ -374,8 +221,8 @@ class WorkerPool:
 
     Created lazily by :meth:`MatchSession.match_many` (or explicitly via
     :meth:`MatchSession.worker_pool`); workers survive across batches, so
-    the fork/attach cost is paid once per snapshot version instead of once
-    per call.  All scheduling is version-checked and deadline-guarded: see
+    the fork cost is paid once per snapshot version instead of once per
+    call.  All scheduling is version-checked and deadline-guarded: see
     the module docstring for the staleness, crash and hang contracts.
     """
 
@@ -384,25 +231,18 @@ class WorkerPool:
         session: "MatchSession",
         *,
         max_workers: Optional[int] = None,
-        start_method: Optional[str] = None,
         task_timeout: float = DEFAULT_TASK_TIMEOUT,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        if start_method is None:
-            start_method = "fork" if fork_available() else "spawn"
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(f"start method {start_method!r} not available")
         if task_timeout <= 0:
             raise ValueError(f"task_timeout must be positive, got {task_timeout}")
         self._session = session
-        self._method = start_method
         self._max_workers = max_workers
         self._task_timeout = task_timeout
         self._retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._processes: List = []
         self._task_queue = None
         self._result_queue = None
-        self._shared_handle = None
         self._pinned_version: Optional[int] = None
         self._next_task_id = 0
         self._broken = False
@@ -431,15 +271,8 @@ class WorkerPool:
         self._exhausted_tasks = 0
         self._budget_stops = 0
         self._fault_notes: Dict[str, int] = {}
-        #: Spawn workers not yet heard from since they were started.
-        self._starting: Set[int] = set()
 
     # -- lifecycle ------------------------------------------------------
-
-    @property
-    def start_method(self) -> str:
-        """``"fork"`` or ``"spawn"``."""
-        return self._method
 
     @property
     def workers(self) -> int:
@@ -467,8 +300,7 @@ class WorkerPool:
         """Make the pool live and pinned to the session's current snapshot.
 
         Returns ``True`` when workers are available afterwards.  A version
-        drift or a broken pool triggers one stop + respawn (the *re-pin*);
-        the snapshot is re-exported for spawn workers.
+        drift or a broken pool triggers one stop + respawn (the *re-pin*).
         """
         version = self._session._compiled.version
         if self._processes and not self._broken and self._pinned_version == version:
@@ -491,40 +323,24 @@ class WorkerPool:
         return True
 
     def _make_worker(self, context, worker_id: int):
-        """Start one worker process for *worker_id* on the live queues."""
+        """Fork one worker process for *worker_id* on the live queues."""
         global _WORKER_SESSION
-        if self._method == "fork":
-            _WORKER_SESSION = self._session
-            try:
-                process = context.Process(
-                    target=_fork_worker_main,
-                    args=(worker_id, self._task_queue, self._result_queue),
-                    daemon=True,
-                )
-                process.start()
-            finally:
-                _WORKER_SESSION = None
-        else:
-            self._starting.add(worker_id)
+        _WORKER_SESSION = self._session
+        try:
             process = context.Process(
-                target=_spawn_worker_main,
-                args=(
-                    worker_id,
-                    self._shared_handle.descriptor,
-                    self._task_queue,
-                    self._result_queue,
-                ),
+                target=_fork_worker_main,
+                args=(worker_id, self._task_queue, self._result_queue),
                 daemon=True,
             )
             process.start()
+        finally:
+            _WORKER_SESSION = None
         return process
 
     def _start_workers(self, version: int) -> None:
-        context = multiprocessing.get_context(self._method)
+        context = multiprocessing.get_context("fork")
         self._task_queue = context.SimpleQueue()
         self._result_queue = context.Queue()
-        if self._method != "fork":
-            self._shared_handle = self._session._compiled.export_shared()
         count = self.target_workers()
         processes = []
         for worker_id in range(count):
@@ -542,9 +358,9 @@ class WorkerPool:
         if not self._processes or self._task_queue is None:
             return False
         try:
-            context = multiprocessing.get_context(self._method)
+            context = multiprocessing.get_context("fork")
             process = self._make_worker(context, worker_id)
-        except Exception:  # pragma: no cover - fork/spawn failure
+        except Exception:  # pragma: no cover - fork failure
             return False
         self._processes[worker_id] = process
         self._workers_spawned += 1
@@ -575,7 +391,6 @@ class WorkerPool:
         for process in self._processes:
             _stop_process(process, join_timeout=1.0)
         self._processes = []
-        self._starting.clear()
         for q in (self._task_queue, self._result_queue):
             if q is not None:
                 try:
@@ -584,10 +399,6 @@ class WorkerPool:
                     pass
         self._task_queue = None
         self._result_queue = None
-        if self._shared_handle is not None:
-            self._shared_handle.close()
-            self._shared_handle.unlink()
-            self._shared_handle = None
         self._pinned_version = None
         self._broken = False
 
@@ -611,12 +422,12 @@ class WorkerPool:
         # pool's pin: a snapshot patched after the workers were spawned must
         # make them answer ``stale``, never silently serve the old graph.
         expected_version = self._session._compiled.version
-        wire = (task_id, task.kind, expected_version, task.payload)
+        wire = (task_id, expected_version, task.payload)
         if _faults.ENABLED:
             if _faults.should_fire("snapshot.skew"):
                 # Simulated mid-batch snapshot skew: the task claims a
                 # version the workers cannot hold, so it comes back stale.
-                wire = (task_id, task.kind, expected_version + 1, task.payload)
+                wire = (task_id, expected_version + 1, task.payload)
             if _faults.should_fire("task.corrupt"):
                 # Simulated wire corruption: the worker receives garbage and
                 # the real unit is lost until the deadline re-dispatches it.
@@ -632,14 +443,6 @@ class WorkerPool:
         task.not_before = None
         task.deadline = time.monotonic() + self._task_timeout
         return task_id
-
-    def _valid_payload(self, kind: str, payload) -> bool:
-        """Parent-side shape check: corrupted results must not reach callers."""
-        if kind == "unit":
-            return isinstance(payload, MatchResult)
-        if kind == "balls":
-            return isinstance(payload, list)
-        return False
 
     def _retry_or_fail(
         self, task_id: int, task: _PendingTask, pending: Dict[int, _PendingTask], now: float
@@ -765,7 +568,6 @@ class WorkerPool:
                 except (TypeError, ValueError):
                     self._corrupt_results += 1
                     continue
-                self._starting.discard(worker_id)
                 if status == "ack":
                     task = pending.get(task_id)
                     if task is not None and task.not_before is None:
@@ -782,16 +584,18 @@ class WorkerPool:
                 if task is None or task.not_before is not None:
                     # Unknown id, or a dormant retry answered late by its
                     # original worker: accept the late answer if it is one.
+                    # Parent-side shape check: corrupted results must not
+                    # reach callers.
                     if (
                         task is not None
                         and status == "ok"
-                        and self._valid_payload(task.kind, payload)
+                        and isinstance(payload, MatchResult)
                     ):
                         pending.pop(task_id, None)
                         sink[task.slot] = payload
                     continue
                 if status == "ok":
-                    if self._valid_payload(task.kind, payload):
+                    if isinstance(payload, MatchResult):
                         pending.pop(task_id, None)
                         sink[task.slot] = payload
                         self._per_worker_executed[worker_id] = (
@@ -819,33 +623,20 @@ class WorkerPool:
                         process.join(timeout=1.0)
                         self._quarantined += 1
                 return False
-        # Every task is answered, but a spawn worker whose attach failed may
-        # still be starting when a healthy worker has served the whole
-        # batch.  Wait (at most one task timeout) for each starting worker's
-        # first message — its attach ack or its fault note — read every
-        # queued note, and reap exited workers, so the batch's counters see
-        # the failure.
-        deadline = time.monotonic() + self._task_timeout
+        # Every task is answered; read the fault notes still queued and reap
+        # exited workers, so the batch's counters see every failure.
         while True:
-            waiting = bool(self._starting) and time.monotonic() < deadline
             try:
-                item = self._result_queue.get(timeout=0.05 if waiting else 0)
+                item = self._result_queue.get_nowait()
             except queue_module.Empty:
-                if not waiting:
-                    break
-                self._starting = {
-                    w for w in self._starting if self._processes[w].is_alive()
-                }
-                continue
+                break
             except Exception:  # pragma: no cover - queue torn down under us
                 self._broken = True
                 return False
             if _sanitize.ENABLED:
                 _sanitize.pool_result(item)
-            if isinstance(item, tuple) and len(item) == 4:
-                self._starting.discard(item[0])
-                if item[2] == "fault":
-                    self._note_fault(item[3])
+            if isinstance(item, tuple) and len(item) == 4 and item[2] == "fault":
+                self._note_fault(item[3])
         return self._check_liveness(pending, time.monotonic())
 
     def _note_fault(self, payload) -> None:
@@ -872,7 +663,7 @@ class WorkerPool:
             pending: Dict[int, _PendingTask] = {}
             try:
                 for slot, unit in enumerate(units):
-                    task = _PendingTask(slot, "unit", unit)
+                    task = _PendingTask(slot, unit)
                     pending[self._dispatch(task)] = task
             except Exception:  # pragma: no cover - submission failure
                 self._broken = True
@@ -890,45 +681,11 @@ class WorkerPool:
         self.last_batch_clean = not self._broken and batch_fallbacks == 0
         return results
 
-    def run_balls(
-        self, bound, sources: Sequence[int], *, chunks_per_worker: int = 2
-    ) -> Optional[Dict[int, object]]:
-        """Compute the forward balls of *sources* at *bound* across workers.
-
-        Returns ``{source index: ball}`` (sparse tuple or dense bitset), or
-        ``None`` when the pool could not serve the request — the caller
-        then computes the balls inline.
-        """
-        if not sources or not self.ensure():
-            return None
-        workers = max(1, self.workers)
-        chunk = max(1, -(-len(sources) // (workers * chunks_per_worker)))
-        parts = [sources[i : i + chunk] for i in range(0, len(sources), chunk)]
-        sink: List[Optional[object]] = [None] * len(parts)
-        pending: Dict[int, _PendingTask] = {}
-        try:
-            for slot, part in enumerate(parts):
-                task = _PendingTask(slot, "balls", (bound, list(part)))
-                pending[self._dispatch(task)] = task
-        except Exception:  # pragma: no cover - submission failure
-            self._broken = True
-            return None
-        self._queue_depth_hwm = max(self._queue_depth_hwm, len(pending))
-        self._collect(pending, sink)
-        merged: Dict[int, object] = {}
-        for part_result in sink:
-            if part_result is None:
-                return None
-            for source, ball in part_result:
-                merged[source] = ball
-        return merged
-
     # -- observability --------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         """Pool counters (shape documented in ``MatchSession.stats``)."""
         return {
-            "start_method": self._method,
             "workers": self.workers,
             "pinned_version": self.pinned_version,
             "workers_spawned": self._workers_spawned,
@@ -960,6 +717,6 @@ class WorkerPool:
     def __repr__(self) -> str:
         state = "up" if self.started else "down"
         return (
-            f"<WorkerPool {self._method} {state} workers={self.workers} "
+            f"<WorkerPool {state} workers={self.workers} "
             f"pinned=v{self._pinned_version}>"
         )

@@ -30,14 +30,13 @@ The plan also carries the query's cache key: the pattern's canonical
 :meth:`~repro.graph.pattern.Pattern.fingerprint` plus the snapshot version
 the plan was made against, which is what makes the session's result cache
 safe under mutation (a patched or recompiled snapshot has a new version, so
-stale entries can never be served).  Plans refined in different edge orders
-are keyed by an order digest as well, so an order-sensitive plan can never
-collide with a seed-ordered one.
+stale entries can never be served).  The edge order is not part of the key:
+within one session it is a deterministic function of the pattern and the
+snapshot version, and the greatest fixpoint does not depend on it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -58,9 +57,6 @@ STRATEGY_SIMULATION = "simulation"
 STRATEGY_BOUNDED = "bounded"
 #: IncMatch maintenance of a standing match under an update stream.
 STRATEGY_INCREMENTAL = "incremental"
-
-#: Order digest of a plan refined in the pattern's native edge order.
-SEED_ORDER = "seed"
 
 #: Minimum estimated-cardinality spread (max/min over the pattern's nodes)
 #: before selectivity ordering is applied.  Ordering pays when candidate
@@ -87,24 +83,23 @@ class QueryPlan:
     reasons: Tuple[str, ...] = field(default_factory=tuple)
     #: ``(pattern node, estimated candidate count)`` pairs, refinement order.
     cardinalities: Tuple[Tuple[Any, int], ...] = ()
-    #: The pattern edges in the order the fixpoint kernel seeds them.
+    #: The pattern edges in the order the fixpoint kernel seeds them
+    #: (empty: the pattern's native "seed" order).
     edge_order: Tuple[Tuple[Any, Any], ...] = ()
-    #: ``"seed"`` or ``"sel:<digest>"`` — part of the cache key.
-    order_digest: str = SEED_ORDER
 
     @property
-    def cache_key(self) -> Tuple[str, int, str, str]:
-        """``(fingerprint, snapshot version, strategy, order digest)``.
+    def cache_key(self) -> Tuple[str, int, str]:
+        """``(fingerprint, snapshot version, strategy)``.
 
         Including the snapshot version means a mutated graph can never be
         answered from a result computed against an older snapshot; including
         the strategy keeps forced graph simulation (which ignores bounds)
-        from colliding with bounded matching of the same pattern; including
-        the order digest keeps selectivity-ordered plans from colliding with
-        seed-ordered ones.  (The version stays at index 1 — the result
-        cache's stale-entry eviction reads it positionally.)
+        from colliding with bounded matching of the same pattern.  The edge
+        order is left out: every order reaches the same greatest fixpoint.
+        (The version stays at index 1 — the result cache's stale-entry
+        eviction reads it positionally.)
         """
-        return (self.fingerprint, self.snapshot_version, self.strategy, self.order_digest)
+        return (self.fingerprint, self.snapshot_version, self.strategy)
 
     def explain(self) -> str:
         """A human-readable account of the planning decision."""
@@ -116,7 +111,7 @@ class QueryPlan:
             f"  strategy: {self.strategy}",
             f"  snapshot version: {self.snapshot_version}",
             f"  cache key: {self.fingerprint[:12]}…/v{self.snapshot_version}"
-            f"/{self.order_digest}",
+            f"/{self.strategy}",
         ]
         if self.cardinalities:
             estimates = ", ".join(f"{node}~{count}" for node, count in self.cardinalities)
@@ -169,13 +164,6 @@ def _selectivity_edge_order(
             for child in sorted(intra, key=node_key):
                 order.append((parent, child))
     return tuple(order)
-
-
-def _order_digest(edge_order: Tuple[Tuple[Any, Any], ...]) -> str:
-    if not edge_order:
-        return SEED_ORDER
-    blob = "|".join(f"{u!r}->{v!r}" for u, v in edge_order)
-    return "sel:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
 def plan_query(
@@ -319,5 +307,4 @@ def plan_query(
         reasons=tuple(reasons),
         cardinalities=cardinalities,
         edge_order=edge_order,
-        order_digest=_order_digest(edge_order),
     )

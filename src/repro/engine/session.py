@@ -16,8 +16,7 @@ it across an entire query workload:
 * lazily, one :class:`~repro.distance.matrix.InternedDistanceStore` for the
   IncMatch machinery;
 * a result cache keyed by ``(pattern fingerprint, snapshot version,
-  strategy, refinement-order digest)``, with eviction wired into the
-  snapshot's patch layer so
+  strategy)``, with eviction wired into the snapshot's patch layer so
   :meth:`patch_edge_insert`/:meth:`patch_edge_delete` (and the update
   streams of the incremental matcher) invalidate exactly the entries they
   made stale.
@@ -26,10 +25,9 @@ Each query is planned (:mod:`repro.engine.planner`) before execution —
 bound-1 patterns skip the distance oracle entirely, ``k``/``*`` bounds use
 the compiled oracle, attached update streams route to ``IncMatch`` — and
 :meth:`match_many` runs a whole pattern workload over the shared read-only
-snapshot, dispatching to the session's persistent worker pool when the
-workload is worth it (:mod:`repro.engine.parallel`);
-:meth:`match_parallel` partitions one large query's candidate-ball
-computation across the same pool.
+snapshot, dispatching whole queries to the session's persistent fork
+worker pool when the workload is worth it (:mod:`repro.engine.parallel`).
+Without ``fork`` the batch runs serially.
 
 The free functions :func:`repro.matching.bounded.match` and
 :func:`repro.matching.simulation.graph_simulation` are thin wrappers that
@@ -38,7 +36,6 @@ open a throwaway session, so the one-shot API keeps working unchanged.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -50,17 +47,16 @@ from repro.distance.oracle import (
     BoundedBitsCache,
     DistanceOracle,
 )
-from repro.engine.cache import DEFAULT_RESULT_CACHE_SIZE, ResultCache
+from repro.engine.cache import DEFAULT_RESULT_CACHE_SIZE, CacheKey, ResultCache
 from repro.engine.parallel import WorkerPool, fork_available
-from repro.exceptions import PartialBatchError
+from repro.exceptions import EngineError, PartialBatchError
 from repro.engine.planner import (
-    STRATEGY_BOUNDED,
     STRATEGY_INCREMENTAL,
     STRATEGY_SIMULATION,
     QueryPlan,
     plan_query,
 )
-from repro.graph.compiled import CompiledGraph, bits_to_indices, compile_graph
+from repro.graph.compiled import CompiledGraph, compile_graph
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.graph.pattern import Pattern
 from repro.matching.affected import AffectedArea
@@ -80,14 +76,6 @@ __all__ = ["MatchSession"]
 AUTO_POOL_WORK_FLOOR = 400_000
 #: ``parallel=None`` never *starts* a pool for fewer pending queries than this.
 AUTO_POOL_MIN_QUERIES = 4
-#: ``match_parallel`` precomputes balls on the pool only when at least this
-#: many uncached ball sources exist (fewer are faster inline).
-INTRA_QUERY_MIN_SOURCES = 256
-#: ``match_parallel`` also requires this much *estimated* ball work per
-#: worker (sources x estimated ball size) before it pays for pool dispatch;
-#: below it, partitioning overhead beats the parallel speedup and the query
-#: falls back to inline ball computation.
-INTRA_QUERY_MIN_WORK_PER_WORKER = 250_000
 #: Cap on standing IncrementalMatchers kept per session (each pins a full
 #: interned distance store); least recently used patterns are dropped.
 DEFAULT_MAX_MATCHERS = 16
@@ -180,8 +168,6 @@ class MatchSession:
         self._plan_counts: Dict[str, int] = {}
         self._parallel_batches = 0
         self._forked_queries = 0
-        self._intra_queries = 0
-        self._intra_fallbacks = 0
         self._pool: Optional[WorkerPool] = None
         # Built lazily: single-shot sessions that never touch the pool path
         # should not pay for breaker construction on the cold path.
@@ -348,8 +334,9 @@ class MatchSession:
         Cache hits (and duplicate patterns within the batch) are answered
         once; the remaining queries run either serially or on the session's
         **persistent** :class:`~repro.engine.parallel.WorkerPool` — workers
-        spawned once (fork copy-on-write, or shared-memory attach on spawn
-        platforms) that keep their ball/seed memos warm across batches.
+        forked once (copy-on-write) that keep their ball/seed memos warm
+        across batches.  On platforms without ``fork`` every batch runs the
+        serial loop, whatever *parallel* says.
 
         The pool path is guarded by the session's circuit breaker: after
         repeated pool failures the breaker opens and batches degrade to
@@ -376,7 +363,7 @@ class MatchSession:
         patterns = list(patterns)
         budget = BatchBudget(time_budget) if time_budget is not None else None
         results: List[Optional[MatchResult]] = [None] * len(patterns)
-        pending: Dict[Tuple[str, int, str, str], List[int]] = {}
+        pending: Dict[CacheKey, List[int]] = {}
         pending_units: List[Tuple[Pattern, QueryPlan]] = []
         for index, pattern in enumerate(patterns):
             plan = self.plan(pattern)
@@ -394,16 +381,14 @@ class MatchSession:
             compiled = self._sync()
             if parallel is None:
                 pool_live = self._pool is not None and self._pool.started
-                use_pool = fork_available() and (
-                    pool_live
-                    or (
-                        len(pending_units) >= AUTO_POOL_MIN_QUERIES
-                        and compiled.num_nodes * len(pending_units)
-                        >= AUTO_POOL_WORK_FLOOR
-                    )
+                use_pool = pool_live or (
+                    len(pending_units) >= AUTO_POOL_MIN_QUERIES
+                    and compiled.num_nodes * len(pending_units)
+                    >= AUTO_POOL_WORK_FLOOR
                 )
             else:
                 use_pool = bool(parallel)
+            use_pool = use_pool and fork_available()
             if use_pool and not self.breaker.allow():
                 use_pool = False
                 self._degraded_batches += 1
@@ -447,21 +432,22 @@ class MatchSession:
         max_workers: Optional[int] = None,
         task_timeout: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        start_method: Optional[str] = None,
     ) -> WorkerPool:
         """The session's persistent worker pool (created on first use).
 
-        Workers are not spawned here — that happens on the first dispatch —
-        so holding a pool object is free.  Passing a *max_workers*,
-        *task_timeout* or *start_method* different from the current pool's
-        shuts the old pool down and builds a new one with the requested
-        configuration.
+        Workers are not forked here — that happens on the first dispatch —
+        so holding a pool object is free.  Passing a *max_workers* or
+        *task_timeout* different from the current pool's shuts the old pool
+        down and builds a new one with the requested configuration.  Raises
+        :class:`~repro.exceptions.EngineError` on platforms without
+        ``fork``.
         """
+        if not fork_available():
+            raise EngineError("the worker pool needs the 'fork' start method")
         pool = self._pool
         if pool is not None and (
             (max_workers is not None and max_workers != pool._max_workers)
             or (task_timeout is not None and task_timeout != pool._task_timeout)
-            or (start_method is not None and start_method != pool.start_method)
         ):
             pool.shutdown()
             pool = None
@@ -469,118 +455,12 @@ class MatchSession:
             kwargs = {}
             if task_timeout is not None:
                 kwargs["task_timeout"] = task_timeout
-            if start_method is not None:
-                kwargs["start_method"] = start_method
             policy = retry_policy if retry_policy is not None else self._retry_policy
             if policy is not None:
                 kwargs["retry_policy"] = policy
             pool = WorkerPool(self, max_workers=max_workers, **kwargs)
             self._pool = pool
         return pool
-
-    def match_parallel(
-        self, pattern: Pattern, *, max_workers: Optional[int] = None
-    ) -> MatchResult:
-        """Answer one query with intra-query parallel ball computation.
-
-        The bounded fixpoint itself is inherently sequential (removals
-        cascade), but its dominant cost on a cold session — computing the
-        candidate balls — is embarrassingly parallel.  This method
-        partitions the uncached ball sources of *pattern* across the worker
-        pool, seeds the returned balls into the session's shared memo, and
-        then runs the ordinary serial fixpoint, which now finds every ball
-        precomputed.  Results are identical to :meth:`match` (same fixpoint,
-        same snapshot) and cached under the same key.
-
-        Falls back to a plain :meth:`match` execution whenever the pool
-        cannot help: simulation-strategy plans (balls are adjacency rows,
-        already materialised), custom oracles, too few uncached sources, or
-        a single-worker pool (the parent computes inline just as fast).
-        """
-        plan = self.plan(pattern)
-        cached = self._cache.get(plan.cache_key)
-        if cached is not None:
-            return cached
-        self._prime_balls_parallel(pattern, plan, max_workers)
-        result = self._execute(pattern, plan)
-        self._cache.put(plan.cache_key, result)
-        return result
-
-    def _prime_balls_parallel(
-        self, pattern: Pattern, plan: QueryPlan, max_workers: Optional[int]
-    ) -> None:
-        """Precompute *pattern*'s candidate balls on the pool (best effort)."""
-        if self._custom_oracle or plan.strategy != STRATEGY_BOUNDED:
-            return
-        workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-        if workers < 2:
-            return
-        compiled = self._sync()
-        mat_bits = candidate_bits(pattern, compiled)
-        cache = self._bits_cache
-        needed: Dict[Optional[int], List[int]] = {}
-        seen: set = set()
-        for u, u_child in pattern.edges():
-            bound = pattern.bound(u, u_child)
-            for v in bits_to_indices(mat_bits[u]):
-                key = (v, bound, True)
-                if key in seen or key in cache:
-                    continue
-                seen.add(key)
-                needed.setdefault(bound, []).append(v)
-        total = sum(len(sources) for sources in needed.values())
-        if total < INTRA_QUERY_MIN_SOURCES:
-            return
-        workers = min(workers, os.cpu_count() or 1)
-        estimated_work = sum(
-            len(sources) * self._estimate_ball_size(compiled, bound)
-            for bound, sources in needed.items()
-        )
-        if estimated_work / workers < INTRA_QUERY_MIN_WORK_PER_WORKER:
-            # Small candidate sets never pay partitioning overhead: compute
-            # the balls inline during the fixpoint instead.
-            self._intra_fallbacks += 1
-            return
-        oracle = self.oracle
-        prime = getattr(oracle, "prime_ball", None)
-        if prime is None:
-            return
-        pool = self.worker_pool(max_workers=max_workers)
-        primed = False
-        for bound, sources in needed.items():
-            merged = pool.run_balls(bound, sources)
-            if merged is None:
-                continue
-            for source, ball in merged.items():
-                prime(source, bound, ball)
-            primed = True
-        if primed:
-            self._intra_queries += 1
-
-    @staticmethod
-    def _estimate_ball_size(compiled: CompiledGraph, bound: Optional[int]) -> int:
-        """Rough size of one bounded ball: a degree-``d`` geometric series.
-
-        ``d`` is the snapshot's average out-degree; the series is capped at
-        ``|V|`` (a ball can never exceed the graph) and an unbounded edge
-        estimates the full graph.  Only used to decide whether intra-query
-        pool dispatch is worth paying for, so being off by a small factor is
-        fine — the threshold separates workloads by orders of magnitude.
-        """
-        num_nodes = compiled.num_nodes
-        if not num_nodes:
-            return 0
-        if bound is None:
-            return num_nodes
-        avg_degree = compiled.num_edges / num_nodes
-        size = 0.0
-        step = 1.0
-        for _ in range(bound):
-            step *= avg_degree
-            size += step
-            if size >= num_nodes:
-                return num_nodes
-        return max(1, int(size))
 
     def _execute(self, pattern: Pattern, plan: QueryPlan) -> MatchResult:
         """Run the planned fixpoint against the pinned snapshot.
@@ -658,15 +538,12 @@ class MatchSession:
         matcher = self.incremental_matcher(pattern)
         area = matcher.apply(list(updates))
         result = matcher.match
-        compiled = self._sync()
+        # Keyed like a later session.match() plan of the same pattern; the
+        # key holds no edge order, so no cardinality estimate is needed.
         followup = plan_query(
             pattern,
-            snapshot_version=compiled.version,
+            snapshot_version=self._sync().version,
             custom_oracle=self._custom_oracle,
-            # Keyed like a later session.match() plan of the same pattern
-            # (same order digest), so the seeded result is actually found.
-            compiled=compiled,
-            selectivity_order=self._selectivity_order,
         )
         self._cache.put(followup.cache_key, result)
         return result, area
@@ -747,8 +624,6 @@ class MatchSession:
             "plans": dict(self._plan_counts),
             "parallel_batches": self._parallel_batches,
             "forked_queries": self._forked_queries,
-            "intra_queries": self._intra_queries,
-            "intra_fallbacks": self._intra_fallbacks,
             "incremental_matchers": len(self._matchers),
             "pool": self._pool.stats() if self._pool is not None else None,
             "reliability": reliability,

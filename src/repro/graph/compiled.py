@@ -45,20 +45,17 @@ callers never observe the interned integers.
 
 from __future__ import annotations
 
-import pickle
 import weakref
 from array import array
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.analysis import sanitize as _sanitize
 from repro.exceptions import NodeNotFoundError
-from repro.reliability import faults as _faults
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.graph.predicates import Predicate
 
 __all__ = [
     "CompiledGraph",
-    "SharedGraphHandle",
     "compile_graph",
     "iter_bits",
     "bits_to_indices",
@@ -77,108 +74,6 @@ def iter_bits(bits: int) -> Iterator[int]:
 _BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
     tuple(offset for offset in range(8) if byte >> offset & 1) for byte in range(256)
 )
-
-
-def _collected_graph_ref() -> None:
-    """Stand-in ``weakref`` for snapshots with no source graph (attachments)."""
-    return None
-
-
-# ``SharedMemory(name=...)`` re-registers an *attached* segment with the
-# resource tracker (``track=False`` only exists from Python 3.13).  That
-# duplicate registration is deliberately left in place here: on POSIX the
-# pool's spawn workers share the parent's tracker process, whose cache is a
-# set — the re-register is a no-op and the owner's ``unlink`` unregisters
-# exactly once.  Unregistering on attach instead would strip the *owner's*
-# entry from the shared tracker, so a later unlink could not balance it and
-# a parent crash would leak the segments.
-
-
-class SharedGraphHandle:
-    """Ownership of a compiled snapshot's shared-memory segments.
-
-    Returned by :meth:`CompiledGraph.export_shared` (``owner=True`` — the
-    creating side, responsible for :meth:`unlink`) and held by attached
-    snapshots (``owner=False`` — closing only releases this process's
-    mappings).  :attr:`descriptor` is the picklable payload a spawned worker
-    needs to call :meth:`CompiledGraph.attach_shared`.
-
-    Usable as a context manager: ``with compiled.export_shared() as handle:``
-    closes *and* (for the owner) unlinks the segments on exit.
-    """
-
-    __slots__ = ("descriptor", "owner", "_segments", "_views", "_closed")
-
-    def __init__(
-        self,
-        segments: List[object],
-        descriptor: Dict[str, Any],
-        *,
-        owner: bool,
-        views: Optional[List[memoryview]] = None,
-    ) -> None:
-        self.descriptor = descriptor
-        self.owner = owner
-        self._segments = segments
-        self._views = views or []
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        """``True`` once this process's mappings have been released."""
-        return self._closed
-
-    @property
-    def segment_names(self) -> List[str]:
-        """The shared-memory segment names (for tests and diagnostics)."""
-        return [shm.name for shm in self._segments]
-
-    def close(self) -> None:
-        """Release this process's mappings (idempotent).
-
-        An attached snapshot whose handle is closed must not be queried
-        again — its CSR views now point at released memory.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for view in self._views:
-            view.release()
-        self._views = []
-        for shm in self._segments:
-            try:
-                shm.close()
-            except OSError:  # pragma: no cover - platform specific
-                pass
-
-    def unlink(self) -> None:
-        """Destroy the segments (owner only; call after every worker detached)."""
-        if not self.owner:
-            return
-        for shm in self._segments:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-
-    def __enter__(self) -> "SharedGraphHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-        self.unlink()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-            self.unlink()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:
-        role = "owner" if self.owner else "attachment"
-        state = "closed" if self._closed else "open"
-        return f"<SharedGraphHandle {role} {state} segments={len(self._segments)}>"
 
 
 def bits_to_indices(bits: int) -> List[int]:
@@ -242,7 +137,6 @@ class CompiledGraph:
         "_flat_kernel",
         "_graph_ref",
         "_patch_listeners",
-        "_shared_handle",
         "_card_cache",
     )
 
@@ -321,7 +215,6 @@ class CompiledGraph:
         # Weakly-held callbacks fired after every patch (see
         # add_patch_listener); the engine's result caches subscribe here.
         self._patch_listeners: List[weakref.ReferenceType] = []
-        self._shared_handle = None
         # Predicate -> (version, estimate) cardinality memo (see cardinality()).
         self._card_cache: Dict[Predicate, Tuple[int, int]] = {}
         return self
@@ -563,19 +456,6 @@ class CompiledGraph:
         if len(live) != len(listeners):
             self._patch_listeners = live
 
-    def _require_patchable(self) -> None:
-        """Attached shared snapshots are read-only for every mutation.
-
-        ``intern_node`` has always enforced this; the edge-patch paths
-        must too — a patch written through an attachment would be
-        invisible to the owner and silently fork the two processes' views.
-        """
-        if self._shared_handle is not None:
-            raise TypeError(
-                "attached shared snapshots are read-only; apply patches "
-                "through the owning process's snapshot"
-            )
-
     def _sync_version_after_patch(self) -> None:
         """Adopt the graph's version iff it moved by exactly this one mutation.
 
@@ -595,7 +475,6 @@ class CompiledGraph:
         Call immediately after ``graph.add_edge(source, target)``; the
         snapshot re-synchronises its version with the graph.
         """
-        self._require_patchable()
         version_before = self.version
         i = self.id_of(source)
         j = self.id_of(target)
@@ -617,7 +496,6 @@ class CompiledGraph:
 
         Call immediately after ``graph.remove_edge(source, target)``.
         """
-        self._require_patchable()
         version_before = self.version
         i = self.id_of(source)
         j = self.id_of(target)
@@ -646,11 +524,6 @@ class CompiledGraph:
         existing = self._id_of.get(node)
         if existing is not None:
             return existing
-        if self._shared_handle is not None:
-            raise TypeError(
-                "attached shared snapshots are read-only; intern nodes through "
-                "the owning process's snapshot"
-            )
         version_before = self.version
         index = self.num_nodes
         self._id_of[node] = index
@@ -784,151 +657,6 @@ class CompiledGraph:
     def ancestors_within_bits(self, target: int, bound: Optional[int]) -> int:
         """Bitset of nodes reaching *target* via a nonempty path ``<= bound``."""
         return self.flat_kernel().ball_bits(target, bound, reverse=True)
-
-    # ------------------------------------------------------------------
-    # shared-memory export / attach (spawn-platform worker pools)
-    # ------------------------------------------------------------------
-
-    @property
-    def shared_handle(self) -> Optional["SharedGraphHandle"]:
-        """The handle this snapshot is attached through (``None`` when local)."""
-        return self._shared_handle
-
-    def export_shared(self) -> "SharedGraphHandle":
-        """Publish this snapshot's substrate into shared memory.
-
-        The four CSR ``array('i')`` pages go into one
-        :class:`multiprocessing.shared_memory.SharedMemory` segment each —
-        workers attach them zero-copy — and everything else a worker needs
-        (interning table, attribute index, patch overlays, version) travels
-        as one pickled metadata segment.  The returned handle **owns** the
-        segments: keep it alive while workers are attached and call
-        :meth:`SharedGraphHandle.unlink` (or use it as a context manager)
-        when the pool is done, or the segments leak until reboot.
-
-        This is the ``spawn``-platform counterpart of fork's copy-on-write
-        inheritance; on fork platforms the engine never needs it.
-        """
-        from multiprocessing import shared_memory
-
-        segments: List[object] = []
-        try:
-            arrays: Dict[str, Tuple[str, int]] = {}
-            for field in ("fwd_offsets", "fwd_targets", "rev_offsets", "rev_targets"):
-                arr: array = getattr(self, "_" + field)
-                data = arr.tobytes()
-                shm = shared_memory.SharedMemory(create=True, size=max(1, len(data)))
-                shm.buf[: len(data)] = data
-                segments.append(shm)
-                arrays[field] = (shm.name, len(arr))
-            meta = {
-                "version": self.version,
-                "num_nodes": self.num_nodes,
-                "num_edges": self.num_edges,
-                "out_nonzero_bits": self.out_nonzero_bits,
-                "node_of": self._node_of,
-                "attrs": self._attrs,
-                "eq_index": self._eq_index,
-                "unindexed": self._unindexed_attrs,
-                "patched_fwd": self._patched_fwd,
-                "patched_rev": self._patched_rev,
-                "patched_fwd_seq": self._patched_fwd_seq,
-                "patched_rev_seq": self._patched_rev_seq,
-            }
-            blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-            meta_shm = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
-            meta_shm.buf[: len(blob)] = blob
-            segments.append(meta_shm)
-        except BaseException:
-            for shm in segments:
-                try:
-                    shm.close()
-                    shm.unlink()
-                except OSError:  # pragma: no cover - cleanup best effort
-                    pass
-            raise
-        descriptor = {
-            "arrays": arrays,
-            "meta": (meta_shm.name, len(blob)),
-            "itemsize": self._fwd_offsets.itemsize,
-        }
-        return SharedGraphHandle(segments, descriptor, owner=True)
-
-    @classmethod
-    def attach_shared(cls, descriptor: Mapping[str, Any]) -> "CompiledGraph":
-        """Attach a snapshot exported by :meth:`export_shared` in this process.
-
-        *descriptor* is :attr:`SharedGraphHandle.descriptor` (picklable, so
-        it can travel to a spawned worker).  The CSR pages are mapped
-        zero-copy as ``memoryview('i')`` casts; only the metadata blob is
-        unpickled.  The result is **read-only**: it serves every query and
-        patch-overlay lookup, but :meth:`intern_node` (which must grow the
-        offset arrays) raises, and its :attr:`graph` is ``None``.
-
-        The attached snapshot keeps its own :class:`SharedGraphHandle`
-        (under :attr:`shared_handle`) alive; closing that handle releases
-        the mappings and makes the snapshot unusable.
-        """
-        from multiprocessing import shared_memory
-
-        if _faults.ENABLED and _faults.should_fire("attach.fail"):
-            raise OSError(
-                "injected fault: attach.fail — simulated shared-memory "
-                "attach failure"
-            )
-
-        segments: List[object] = []
-        views: Dict[str, memoryview] = {}
-        itemsize = descriptor["itemsize"]
-        try:
-            for field, (name, count) in descriptor["arrays"].items():
-                shm = shared_memory.SharedMemory(name=name)
-                segments.append(shm)
-                views[field] = memoryview(shm.buf)[: count * itemsize].cast("i")
-            meta_name, meta_size = descriptor["meta"]
-            meta_shm = shared_memory.SharedMemory(name=meta_name)
-            segments.append(meta_shm)
-            meta = pickle.loads(bytes(meta_shm.buf[:meta_size]))
-        except BaseException:
-            for view in views.values():
-                view.release()
-            for shm in segments:
-                try:
-                    shm.close()
-                except OSError:  # pragma: no cover - cleanup best effort
-                    pass
-            raise
-
-        self = object.__new__(cls)
-        n = meta["num_nodes"]
-        self.version = meta["version"]
-        self.num_nodes = n
-        self.num_edges = meta["num_edges"]
-        self.all_bits = (1 << n) - 1
-        self.out_nonzero_bits = meta["out_nonzero_bits"]
-        self._node_of = meta["node_of"]
-        self._id_of = {node: i for i, node in enumerate(self._node_of)}
-        self._fwd_offsets = views["fwd_offsets"]
-        self._fwd_targets = views["fwd_targets"]
-        self._rev_offsets = views["rev_offsets"]
-        self._rev_targets = views["rev_targets"]
-        self._attrs = meta["attrs"]
-        self._eq_index = meta["eq_index"]
-        self._unindexed_attrs = meta["unindexed"]
-        self._succ_bits = [None] * n
-        self._pred_bits = [None] * n
-        self._patched_fwd = meta["patched_fwd"]
-        self._patched_rev = meta["patched_rev"]
-        self._patched_fwd_seq = meta["patched_fwd_seq"]
-        self._patched_rev_seq = meta["patched_rev_seq"]
-        self._flat_kernel = None
-        self._graph_ref = _collected_graph_ref
-        self._patch_listeners = []
-        self._card_cache = {}
-        self._shared_handle = SharedGraphHandle(
-            segments, dict(descriptor), owner=False, views=list(views.values())
-        )
-        return self
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ equivalence invariant must hold for every interleaving; that is the point.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -140,7 +139,6 @@ def run_chaos(
     rounds: int = 3,
     workers: int = 2,
     task_timeout: float = 0.5,
-    start_method: Optional[str] = None,
     mutate: bool = True,
     breaker: Optional[CircuitBreaker] = None,
     retry_policy: Optional[RetryPolicy] = None,
@@ -154,12 +152,9 @@ def run_chaos(
     records any result divergence.  With *mutate* (default) the graph is
     patched between rounds so version-skew and repin paths run under fire.
 
-    *start_method* selects the pool's process start method (``"spawn"``
-    additionally exports the plan through ``REPRO_FAULTS`` so freshly
-    spawned workers arm themselves — fork workers inherit the armed state
-    by copy-on-write).  The default *breaker* never trips, keeping the pool
-    path exercised through every round; pass a real one to study
-    degradation instead.
+    Fork workers inherit the armed plan by copy-on-write.  The default
+    *breaker* never trips, keeping the pool path exercised through every
+    round; pass a real one to study degradation instead.
     """
     parsed = plan if isinstance(plan, FaultPlan) else FaultPlan.parse(plan, seed=seed)
     patterns = list(patterns)
@@ -171,18 +166,12 @@ def run_chaos(
         # mid-matrix would silently stop exercising the pool.
         breaker = CircuitBreaker(failure_threshold=1_000_000_000)
     session = MatchSession(graph, breaker=breaker, retry_policy=retry_policy)
-    saved_env = os.environ.get("REPRO_FAULTS")
     try:
-        session.worker_pool(
-            max_workers=workers,
-            task_timeout=task_timeout,
-            start_method=start_method,
-        )
+        session.worker_pool(max_workers=workers, task_timeout=task_timeout)
         for round_index in range(rounds):
             if mutate and round_index:
                 _mutate(session, graph, rng)
             _faults.arm(parsed, salt=round_index)
-            os.environ["REPRO_FAULTS"] = parsed.to_env()
             try:
                 pooled = session.match_many(
                     patterns, parallel=True, max_workers=workers
@@ -192,10 +181,6 @@ def run_chaos(
                         injections[point] = injections.get(point, 0) + fired
             finally:
                 _faults.disarm()
-                if saved_env is None:
-                    os.environ.pop("REPRO_FAULTS", None)
-                else:
-                    os.environ["REPRO_FAULTS"] = saved_env
             serial = [match(pattern, graph) for pattern in patterns]
             for query_index, (got, want) in enumerate(zip(pooled, serial)):
                 if got.as_dict() != want.as_dict():

@@ -1,8 +1,7 @@
 """Deterministic, seeded fault injection for the execution engine.
 
 The engine's failure paths (worker crashes, hangs, result-queue stalls,
-shared-memory attach failures, snapshot skew, payload corruption, cache
-memory pressure) are impossible to exercise reliably from the outside: they
+snapshot skew, payload corruption, cache memory pressure) are impossible to exercise reliably from the outside: they
 depend on OS scheduling, memory pressure and timing.  This module gives
 every such path a **named fault point** that the engine consults at the
 exact place the real failure would strike, so a test (or the ``repro
@@ -13,11 +12,11 @@ Arming
 ------
 Two equivalent ways:
 
-* environment — ``REPRO_FAULTS="<seed>:<plan>"`` read once at import time
-  (and therefore inherited by spawned worker processes);
+* environment — ``REPRO_FAULTS="<seed>:<plan>"`` read once at import time;
 * API — ``arm(FaultPlan.parse("worker.crash@0.1#2", seed=42))`` /
-  ``disarm()`` for programmatic control (fork workers inherit the armed
-  state through copy-on-write).
+  ``disarm()`` for programmatic control.
+
+Either way, fork workers inherit the armed state through copy-on-write.
 
 Plan grammar
 ------------
@@ -82,8 +81,6 @@ FAULT_POINTS = frozenset(
         "task.corrupt",  # replace the task tuple on the wire with garbage
         "snapshot.skew",  # dispatch with a skewed expected snapshot version
         "cache.pressure",  # memory-pressure signal at result-cache put
-        # attach path (fires wherever attach_shared runs, e.g. spawn startup)
-        "attach.fail",  # shared-memory attach raises OSError
     }
 )
 

@@ -60,17 +60,6 @@ class TestPatchListener:
         assert "patch-listener" not in rules_of(findings)
 
 
-class TestSharedReadonly:
-    def test_fires_on_mutation_reachable_from_attach(self):
-        findings = run_checkers("shared_readonly_bad.py")
-        hits = [f for f in findings if f.rule == "shared-readonly"]
-        assert [f.symbol for f in hits] == ["apply_insert"]
-
-    def test_quiet_on_read_only_worker(self):
-        findings = run_checkers("shared_readonly_good.py")
-        assert "shared-readonly" not in rules_of(findings)
-
-
 class TestDecodeBoundary:
     FAKE_API_PATH = "src/repro/api/fixture_surface.py"
 

@@ -143,7 +143,6 @@ class TestReportOrdering:
     [
         ("version_guard_bad.py", "version-guard"),
         ("patch_listener_bad.py", "patch-listener"),
-        ("shared_readonly_bad.py", "shared-readonly"),
     ],
 )
 def test_analyze_paths_fires_each_rule(bad_fixture, rule):

@@ -7,7 +7,7 @@ results are identical to serial execution**.  Structure:
 * targeted runs that fire each fault kind deterministically (rate 1 with a
   per-process cap), so every detection/recovery path is provably covered —
   crash, hang, queue stall, result corruption, task corruption, snapshot
-  skew, cache pressure, and shared-memory attach failure on spawn;
+  skew and cache pressure;
 * the degradation layer: circuit-breaker trip + half-open recovery on a
   fake clock, and the batch time budget's ``PartialBatchError``.
 """
@@ -178,21 +178,6 @@ class TestFaultKindCoverage:
         report = self.run_targeted("cache.pressure")
         assert report.injections.get("cache.pressure", 0) >= 1
         assert report.reliability["cache_pressure_sheds"] >= 1
-
-    def test_attach_failure_on_spawn_workers(self):
-        # Spawn workers arm from REPRO_FAULTS (exported by run_chaos) and
-        # fail CompiledGraph.attach_shared during startup; the batch must
-        # still complete and match serial.
-        report = self.run_targeted(
-            "attach.fail@0.75",
-            start_method="spawn",
-            task_timeout=1.0,
-            retry_policy=RetryPolicy(max_retries=0),
-        )
-        assert (
-            report.reliability["worker_fault_notes"].get("attach.fail", 0) >= 1
-            or report.reliability["worker_crashes"] >= 1
-        )
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 Covers the pool's four contracts:
 
-* **equivalence** — pooled ``match_many`` (and intra-query ball priming)
-  returns exactly what the serial path returns, including across randomized
-  patch sequences;
+* **equivalence** — pooled ``match_many`` returns exactly what the serial
+  path returns, including across randomized patch sequences;
 * **staleness** — tasks carry the snapshot version they were planned
   against, workers refuse versions they are not pinned to, and the parent
   recomputes those units serially;
@@ -24,8 +23,7 @@ import time
 import pytest
 
 from repro.engine import MatchSession, WorkerPool, fork_available
-from repro.engine.parallel import AttachedExecutor, _PendingTask
-from repro.graph.compiled import CompiledGraph, compile_graph
+from repro.engine.parallel import _PendingTask
 from repro.graph.generators import random_data_graph
 from repro.graph.pattern import Pattern
 from repro.matching.bounded import match
@@ -68,45 +66,6 @@ class TestEquivalence:
                 assert as_dicts(pooled) == as_dicts(serial)
                 assert pool.stats()["serial_fallbacks"] == 0
 
-    def test_spawn_workers_match_fork_workers(self, pool_graph, workload):
-        serial = [match(pattern, pool_graph) for pattern in workload]
-        with MatchSession(pool_graph) as session:
-            with WorkerPool(session, max_workers=2, start_method="spawn") as pool:
-                pooled = pool.run_units(units_for(session, workload))
-                assert as_dicts(pooled) == as_dicts(serial)
-                assert pool.stats()["start_method"] == "spawn"
-                assert pool.stats()["serial_fallbacks"] == 0
-
-    def test_match_parallel_equals_match(self, pool_graph, workload):
-        with MatchSession(pool_graph) as session:
-            for pattern in workload:
-                expected = match(pattern, pool_graph)
-                got = session.match_parallel(pattern, max_workers=2)
-                assert got.as_dict() == expected.as_dict()
-            # Results were cached under the ordinary key.
-            hits_before = session.stats()["cache_hits"]
-            for pattern in workload:
-                session.match(pattern)
-            assert session.stats()["cache_hits"] == hits_before + len(workload)
-
-    def test_run_balls_merges_all_sources(self, pool_graph):
-        with MatchSession(pool_graph) as session:
-            compiled = session._sync()
-            oracle = session.oracle
-            sources = list(range(0, compiled.num_nodes, 3))
-            with WorkerPool(session, max_workers=2) as pool:
-                merged = pool.run_balls(2, sources)
-                assert merged is not None
-                assert set(merged) == set(sources)
-                for source in sources[:25]:
-                    expected = oracle.descendants_compact(compiled, source, 2)
-                    got = merged[source]
-                    if type(got) is tuple and type(expected) is not tuple:
-                        got = sum(1 << i for i in got)
-                    elif type(expected) is tuple and type(got) is not tuple:
-                        expected = sum(1 << i for i in expected)
-                    assert got == expected
-
     def test_randomized_patch_sequences_stay_equivalent(self, pool_graph):
         rng = random.Random(77)
         patterns = engine_batch_workload(pool_graph, num_patterns=4, seed=29)
@@ -148,7 +107,7 @@ class TestStaleness:
             results = [None] * len(units)
             pending = {}
             for slot, unit in enumerate(units):
-                task = _PendingTask(slot, "unit", unit)
+                task = _PendingTask(slot, unit)
                 pending[pool._dispatch(task)] = task
             assert pool._collect(pending, results)
             assert results == [None] * len(units)
@@ -348,58 +307,7 @@ class TestCrashSafety:
 
 
 # ----------------------------------------------------------------------
-# shared-memory snapshot export / attach
-# ----------------------------------------------------------------------
-
-
-class TestSharedSnapshot:
-    def test_attach_round_trip_preserves_topology(self, pool_graph):
-        compiled = compile_graph(pool_graph)
-        with compiled.export_shared() as handle:
-            attached = CompiledGraph.attach_shared(handle.descriptor)
-            try:
-                assert attached.num_nodes == compiled.num_nodes
-                assert attached.version == compiled.version
-                for index in range(0, compiled.num_nodes, 7):
-                    assert attached.successors_bits(
-                        index
-                    ) == compiled.successors_bits(index)
-                    assert attached.predecessors_bits(
-                        index
-                    ) == compiled.predecessors_bits(index)
-            finally:
-                attached.shared_handle.close()
-
-    def test_attached_snapshot_answers_queries(self, pool_graph, workload):
-        compiled = compile_graph(pool_graph)
-        with compiled.export_shared() as handle:
-            attached = CompiledGraph.attach_shared(handle.descriptor)
-            try:
-                executor = AttachedExecutor(attached)
-                with MatchSession(pool_graph) as session:
-                    for pattern in workload:
-                        plan = session.plan(pattern)
-                        expected = match(pattern, pool_graph)
-                        assert (
-                            executor.execute(pattern, plan).as_dict()
-                            == expected.as_dict()
-                        )
-            finally:
-                attached.shared_handle.close()
-
-    def test_attached_snapshot_is_read_only(self, pool_graph):
-        compiled = compile_graph(pool_graph)
-        with compiled.export_shared() as handle:
-            attached = CompiledGraph.attach_shared(handle.descriptor)
-            try:
-                with pytest.raises(TypeError):
-                    attached.intern_node("brand-new-node", {"label": "X"})
-            finally:
-                attached.shared_handle.close()
-
-
-# ----------------------------------------------------------------------
-# reliability: zombies, attach failure, sanitizer propagation
+# reliability: zombies, sanitizer propagation
 # ----------------------------------------------------------------------
 
 
@@ -439,38 +347,6 @@ class TestReliability:
             assert not process.is_alive()
             assert process.pid not in remaining
         session.close()
-
-    def test_attach_failure_mid_start_on_spawn_degrades_to_serial(
-        self, pool_graph, workload, monkeypatch
-    ):
-        from repro.reliability.resilience import RetryPolicy
-
-        serial = [match(pattern, pool_graph) for pattern in workload[:3]]
-        # Spawn workers re-import repro and arm from the environment, so
-        # the attach.fail point fires inside CompiledGraph.attach_shared
-        # during worker startup — the parent must finish the batch serially.
-        monkeypatch.setenv("REPRO_FAULTS", "7:attach.fail")
-        with MatchSession(pool_graph) as session:
-            pool = WorkerPool(
-                session,
-                max_workers=2,
-                start_method="spawn",
-                task_timeout=1.0,
-                retry_policy=RetryPolicy(max_retries=0),
-            )
-            with pool:
-                results = pool.run_units(units_for(session, workload[:3]))
-                assert as_dicts(results) == as_dicts(serial)
-                stats = pool.stats()
-                reliability = pool.reliability_stats()
-                assert stats["serial_fallbacks"] >= 1
-                # The failed attach is observable: either the worker's
-                # fault note arrived before it exited, or its death was
-                # counted as a crash.
-                assert (
-                    reliability["worker_fault_notes"].get("attach.fail", 0) >= 1
-                    or reliability["worker_crashes"] >= 1
-                )
 
     def test_sanitize_error_propagates_unswallowed(
         self, pool_graph, workload, monkeypatch

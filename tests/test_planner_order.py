@@ -5,8 +5,8 @@ Three layers are pinned here:
 * the **stats surface** — ``CompiledGraph.cardinality`` (version-pinned
   index popcounts) and :func:`repro.graph.statistics.index_statistics`;
 * the **plan** — ``plan_query(..., compiled=...)`` fills
-  ``QueryPlan.cardinalities`` / ``edge_order`` / ``order_digest``, the
-  digest feeds the session cache key, and ``explain()`` shows the why;
+  ``QueryPlan.cardinalities`` / ``edge_order``, the cache key stays
+  order-free, and ``explain()`` shows the why;
 * the **kernel** — ``refine_bits_to_fixpoint(..., edge_order=...)``
   computes the same greatest fixpoint as the seed order (chaotic iteration
   of a monotone operator is order-independent), checked on randomized
@@ -19,7 +19,7 @@ import pytest
 
 from repro.distance.compiled import CompiledDistanceMatrix
 from repro.engine import MatchSession
-from repro.engine.planner import SEED_ORDER, STRATEGY_BOUNDED, plan_query
+from repro.engine.planner import STRATEGY_BOUNDED, plan_query
 from repro.graph.compiled import compile_graph
 from repro.graph.datagraph import DataGraph
 from repro.graph.generators import random_data_graph, skewed_label_graph
@@ -139,7 +139,6 @@ class TestPlanOrdering:
         assert dict(plan.cardinalities) == {"u0": 6, "u1": 6, "leaf": 3}
         # Sinks first: the leaf edge seeds before the chain edge.
         assert plan.edge_order == (("u1", "leaf"), ("u0", "u1"))
-        assert plan.order_digest.startswith("sel:")
 
     def test_near_uniform_estimates_keep_seed_order(self):
         # Ordering buys nothing when every candidate set is the same size,
@@ -158,14 +157,12 @@ class TestPlanOrdering:
         plan = plan_query(pattern, snapshot_version=0, compiled=compile_graph(graph))
         assert dict(plan.cardinalities) == {"a": 4, "b": 4}
         assert plan.edge_order == ()
-        assert plan.order_digest == SEED_ORDER
         assert "near-uniform" in plan.explain()
 
     def test_without_compiled_stays_seed_order(self):
         plan = plan_query(chain_star_pattern(), snapshot_version=0)
         assert plan.cardinalities == ()
         assert plan.edge_order == ()
-        assert plan.order_digest == SEED_ORDER
 
     def test_opt_out_flag_stays_seed_order(self):
         compiled = compile_graph(labelled_graph())
@@ -176,7 +173,6 @@ class TestPlanOrdering:
             selectivity_order=False,
         )
         assert plan.edge_order == ()
-        assert plan.order_digest == SEED_ORDER
 
     def test_cache_key_is_order_sensitive(self):
         compiled = compile_graph(labelled_graph())
@@ -186,11 +182,13 @@ class TestPlanOrdering:
             pattern, snapshot_version=0, compiled=compiled, selectivity_order=False
         )
         assert ordered.fingerprint == seed.fingerprint
-        assert ordered.cache_key != seed.cache_key
+        # Both orders reach the same greatest fixpoint, so the edge order
+        # is not part of the key: the two plans share one cache entry.
+        assert ordered.edge_order != seed.edge_order
+        assert ordered.cache_key == seed.cache_key
         # ResultCache.evict_stale reads key[1]: the snapshot version must
-        # stay at index 1 of the (now 4-tuple) cache key.
-        assert ordered.cache_key[1] == 0
-        assert len(ordered.cache_key) == 4
+        # stay at index 1 of the 3-tuple cache key.
+        assert ordered.cache_key == (ordered.fingerprint, 0, STRATEGY_BOUNDED)
 
     def test_explain_shows_estimates_order_and_digest(self):
         compiled = compile_graph(labelled_graph())
@@ -199,7 +197,7 @@ class TestPlanOrdering:
         assert "estimated candidates (index popcounts)" in text
         assert "leaf~3" in text
         assert "refinement order: u1->leaf, u0->u1" in text
-        assert "/sel:" in text
+        assert "/v0/bounded" in text
         assert "selectivity" in text
 
     def test_session_plan_carries_the_order(self):
@@ -210,7 +208,7 @@ class TestPlanOrdering:
 
     def test_session_opt_out(self):
         with MatchSession(labelled_graph(), selectivity_order=False) as session:
-            assert session.plan(chain_star_pattern()).order_digest == SEED_ORDER
+            assert session.plan(chain_star_pattern()).edge_order == ()
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +299,7 @@ class TestOrderedKernelEquivalence:
 
 
 # ----------------------------------------------------------------------
-# session cache + intra-query fallback satellites
+# session cache satellites
 # ----------------------------------------------------------------------
 
 
@@ -314,18 +312,6 @@ class TestSessionIntegration:
             second = session.match(pattern)
             assert first.as_dict() == second.as_dict()
             assert session.stats()["cache_hits"] >= 1
-
-    def test_stats_expose_intra_fallbacks(self):
-        with MatchSession(labelled_graph()) as session:
-            assert session.stats()["intra_fallbacks"] == 0
-
-    def test_estimate_ball_size(self):
-        compiled = compile_graph(labelled_graph())
-        # 9 nodes / 8 edges: avg degree < 1, so balls stay tiny.
-        assert 1 <= MatchSession._estimate_ball_size(compiled, 2) <= 3
-        assert MatchSession._estimate_ball_size(compiled, None) == 9
-        empty = compile_graph(DataGraph())
-        assert MatchSession._estimate_ball_size(empty, 3) == 0
 
     def test_pattern_fingerprint_is_memoised_and_invalidated(self):
         pattern = chain_star_pattern()

@@ -11,13 +11,11 @@ import pytest
 
 from repro.analysis import sanitize
 from repro.analysis.sanitize import SanitizeError
-from repro.distance.compiled import CompiledDistanceMatrix
 from repro.distance.matrix import InternedDistanceStore
 from repro.distance.oracle import BoundedBitsCache
 from repro.engine import MatchSession
 from repro.engine.cache import ResultCache
-from repro.engine.parallel import AttachedExecutor
-from repro.graph.compiled import CompiledGraph, compile_graph
+from repro.graph.compiled import compile_graph
 from repro.graph.generators import random_data_graph
 from repro.graph.pattern_generator import PatternGenerator
 from repro.matching.match_result import MatchResult
@@ -72,13 +70,12 @@ class TestCacheHooks:
             sanitize.result_cache_put(("fp", 0, "compiled"), object())
 
     def test_result_cache_accepts_order_digest_keys(self):
-        # The planner's 4-tuple key: (fingerprint, version, strategy, digest).
-        with pytest.raises(SanitizeError):
-            sanitize.result_cache_put(("fp", 0, "bounded", "sel:abc"), object())
-        with pytest.raises(SanitizeError):
-            sanitize.result_cache_put(("fp", 0, "bounded", 7), MatchResult.empty())
-        sanitize.result_cache_put(("fp", 0, "bounded", "seed"), MatchResult.empty())
-        sanitize.result_cache_put(("fp", 0, "bounded", "sel:abc"), MatchResult.empty())
+        # The key is (fingerprint, version, strategy); the retired 4-tuple
+        # with a trailing edge-order digest is now malformed.
+        sanitize.result_cache_put(("fp", 0, "bounded"), MatchResult.empty())
+        for digest in ("seed", "sel:abc"):
+            with pytest.raises(SanitizeError):
+                sanitize.result_cache_put(("fp", 0, "bounded", digest), MatchResult.empty())
 
     def test_bits_cache_put_enforced_when_armed(self, armed):
         cache = BoundedBitsCache(8)
@@ -139,30 +136,21 @@ class TestPrimedBallHook:
         with pytest.raises(SanitizeError):
             sanitize.primed_ball([0, 1], 8)
 
-    def test_prime_ball_integration(self, armed, graph):
-        oracle = CompiledDistanceMatrix(graph)
-        num_nodes = oracle.snapshot.num_nodes
-        oracle.prime_ball(0, 2, (0, 1))
-        oracle.prime_ball(1, 2, 0b11)
-        with pytest.raises(SanitizeError):
-            oracle.prime_ball(2, 2, (num_nodes,))
-        with pytest.raises(SanitizeError):
-            oracle.prime_ball(3, 2, 1 << num_nodes)
-
 
 class TestPoolHandshakeHooks:
     def test_good_task_and_result(self):
-        sanitize.pool_task((7, "match", 3, ("payload",)))
+        sanitize.pool_task((7, 3, ("pattern", "plan")))
         sanitize.pool_result((0, 7, "ok", ("payload",)))
         sanitize.pool_result((0, 7, "stale", None))
 
     @pytest.mark.parametrize(
         "task",
         [
-            (7, "match", 3),
-            ("7", "match", 3, None),
-            (7, 42, 3, None),
-            (7, "match", None, None),
+            (7, 3),
+            ("7", 3, None),
+            (7, None, None),
+            # The retired kind field makes the wire tuple too long.
+            (7, "unit", 3, None),
         ],
     )
     def test_bad_task(self, task):
@@ -213,48 +201,6 @@ class TestPatchHooks:
         compiled.version = graph.version + 1
         with pytest.raises(SanitizeError):
             sanitize.patch_applied(compiled)
-
-
-class TestSharedSnapshotReadOnly:
-    def test_edge_patches_rejected_on_attachment(self, graph):
-        compiled = compile_graph(graph)
-        source, target = _missing_edge(graph)
-        with compiled.export_shared() as handle:
-            attached = CompiledGraph.attach_shared(handle.descriptor)
-            try:
-                with pytest.raises(TypeError):
-                    attached.patch_edge_insert(source, target)
-                with pytest.raises(TypeError):
-                    attached.patch_edge_delete(source, target)
-            finally:
-                attached.shared_handle.close()
-
-    def test_owner_can_still_patch_after_export(self, graph):
-        compiled = compile_graph(graph)
-        source, target = _missing_edge(graph)
-        with compiled.export_shared() as handle:
-            attached = CompiledGraph.attach_shared(handle.descriptor)
-            try:
-                graph.add_edge(source, target)
-                compiled.patch_edge_insert(source, target)
-                assert compiled.version == graph.version
-            finally:
-                attached.shared_handle.close()
-
-    def test_attached_executor_repins_on_version_skew(self, graph):
-        compiled = compile_graph(graph)
-        with compiled.export_shared() as handle:
-            attached = CompiledGraph.attach_shared(handle.descriptor)
-            try:
-                executor = AttachedExecutor(attached)
-                ball = executor.descendants_compact(attached, 0, 2)
-                assert executor._bits.get((0, 2, True)) is not None
-                attached.version += 1
-                again = executor.descendants_compact(attached, 0, 2)
-                assert executor._pinned_version == attached.version
-                assert again == ball
-            finally:
-                attached.shared_handle.close()
 
 
 class TestInternedStoreMemo:

@@ -1,10 +1,11 @@
 """Runtime sanitizer: dynamic counterpart of the static checkers.
 
 ``REPRO_SANITIZE=1`` arms thin assertion hooks at the engine's trust
-boundaries — cache put/get, patch application, the edge-memo fast path,
-the oracle's ball memo, and the worker-pool handshake — verifying at runtime the
-same invariants ``repro lint`` checks statically.  One CI lane runs the
-engine/parallel/distance suites with the sanitizer armed.
+boundaries — cache put/get, patch application, distance-store adoption,
+the edge-memo fast path, the oracle's ball memo, and the worker-pool
+handshake — verifying at runtime the same invariants ``repro lint`` checks
+statically.  One CI lane runs the engine/parallel/distance/incremental
+suites with the sanitizer armed.
 
 Cost discipline: every hook site is guarded by ``if _sanitize.ENABLED:``
 — a module-attribute load and branch (~tens of ns) when disarmed, so the
@@ -96,6 +97,32 @@ def patch_applied(compiled) -> None:
             f"snapshot version {compiled.version} is ahead of graph version "
             f"{graph.version} after a patch; patches must follow the "
             "corresponding graph mutation"
+        )
+
+
+# ----------------------------------------------------------------------
+# shared distance store
+# ----------------------------------------------------------------------
+
+
+def store_adopted(compiled, store) -> None:
+    """A snapshot's shared distance store must be current when handed out.
+
+    Its stamp equals the snapshot's version, which equals the graph's, and
+    it has a row for every interned node.
+    """
+    graph = compiled.graph
+    if (
+        store.compiled is not compiled
+        or store.version != compiled.version
+        or (graph is not None and graph.version != compiled.version)
+        or len(store.rows) < compiled.num_nodes
+    ):
+        fail(
+            f"distance store v{store.version} with {len(store.rows)} rows "
+            f"handed out for snapshot v{compiled.version} of "
+            f"{compiled.num_nodes} nodes (graph "
+            f"v{graph.version if graph is not None else '?'})"
         )
 
 

@@ -20,7 +20,9 @@ forcing a recompile.  Each call returns a mapping
 
 over interned ids — exactly the paper's ``AFF1``, decoded at the
 :class:`~repro.matching.affected.AffectedArea` boundary.  Distances use
-:data:`repro.distance.oracle.INF` for "unreachable".
+:data:`repro.distance.oracle.INF` for "unreachable".  Each repair stamps the
+store with the snapshot version it reached (see
+:meth:`~repro.graph.compiled.CompiledGraph.distance_store`).
 
 The deletion repair is the standard two-phase affected-only procedure: the
 first phase identifies, per affected sink, the sources whose *every* old
@@ -183,6 +185,15 @@ def _store_index(store: InternedDistanceStore, node: NodeId, other: NodeId) -> i
         ) from None
 
 
+def _stamp_repaired(store: InternedDistanceStore, version_before: int) -> None:
+    """Advance *store*'s stamp if it was current before this repair.
+
+    A store that already missed a patch stays stale, so it gets rebuilt.
+    """
+    if store.version == version_before:
+        store.version = store.compiled.version
+
+
 def update_store_insert(
     store: InternedDistanceStore, source: NodeId, target: NodeId
 ) -> InternedAffectedPairs:
@@ -200,10 +211,13 @@ def update_store_insert(
     compiled = store.compiled
     if compiled.has_edge_indices(si, ti):
         return {}
+    version_before = compiled.version
     graph.add_edge(source, target)
     compiled.patch_edge_insert(source, target)
     store.clear_memo()
-    return _relax_store_insert(store, si, ti)
+    affected = _relax_store_insert(store, si, ti)
+    _stamp_repaired(store, version_before)
+    return affected
 
 
 def _relax_store_insert(
@@ -266,6 +280,7 @@ def update_store_delete(
     compiled = store.compiled
     if not compiled.has_edge_indices(si, ti):
         return {}
+    version_before = compiled.version
     graph.remove_edge(source, target)
     compiled.patch_edge_delete(source, target)
     store.clear_memo()
@@ -303,6 +318,7 @@ def update_store_delete(
                 break
         if not supported:
             _repair_store_sink(store, adjacency, sink, si, tail_old, affected)
+    _stamp_repaired(store, version_before)
     return affected
 
 

@@ -270,9 +270,10 @@ class InternedDistanceStore:
 
     Build one with :func:`~repro.distance.incremental.build_store`, or
     re-key an up-to-date :class:`DistanceMatrix` with :meth:`from_matrix`.
+    :attr:`version` stamps the snapshot version the distances reflect.
     """
 
-    __slots__ = ("compiled", "rows", "cols", "_bits_memo", "_memo_version")
+    __slots__ = ("compiled", "rows", "cols", "version", "_bits_memo", "_memo_version")
 
     def __init__(self, compiled: "CompiledGraph") -> None:
         self.compiled = compiled
@@ -282,6 +283,7 @@ class InternedDistanceStore:
         for i in range(n):
             self.rows[i] = {i: 0}
             self.cols[i] = {i: 0}
+        self.version = compiled.version
         # Memoised reachability bitsets keyed by (index, bound, forward?);
         # valid between repairs.  Entries are pinned to the snapshot version
         # they were computed against: every edge patch bumps

@@ -13,8 +13,10 @@ it across an entire query workload:
   ball memos live in a session-owned shared
   :class:`~repro.distance.oracle.BoundedBitsCache`, so balls computed for
   one query are reused by the next;
-* lazily, one :class:`~repro.distance.matrix.InternedDistanceStore` for the
-  IncMatch machinery;
+* lazily, the snapshot's shared
+  :class:`~repro.distance.matrix.InternedDistanceStore` for the IncMatch
+  machinery (:meth:`CompiledGraph.distance_store`), which the session's
+  standing matchers repair in place;
 * a result cache keyed by ``(pattern fingerprint, snapshot version,
   strategy)``, with eviction wired into the snapshot's patch layer so
   :meth:`patch_edge_insert`/:meth:`patch_edge_delete` (and the update
@@ -76,8 +78,9 @@ __all__ = ["MatchSession"]
 AUTO_POOL_WORK_FLOOR = 400_000
 #: ``parallel=None`` never *starts* a pool for fewer pending queries than this.
 AUTO_POOL_MIN_QUERIES = 4
-#: Cap on standing IncrementalMatchers kept per session (each pins a full
-#: interned distance store); least recently used patterns are dropped.
+#: Cap on standing IncrementalMatchers kept per session; least recently used
+#: patterns are dropped.  The matchers share their snapshot's one distance
+#: store, so each costs only its pattern's match and candidate bitsets.
 DEFAULT_MAX_MATCHERS = 16
 #: Cap on memoised edge-type seed entries (initial per-edge support counts,
 #: shared across the queries of one session — see
@@ -163,8 +166,6 @@ class MatchSession:
         self._custom_oracle = oracle is not None
         self._cache = ResultCache(result_cache_size)
         self._matchers: "OrderedDict[str, IncrementalMatcher]" = OrderedDict()
-        self._store: Optional[InternedDistanceStore] = None
-        self._store_version: Optional[int] = None
         self._plan_counts: Dict[str, int] = {}
         self._parallel_batches = 0
         self._forked_queries = 0
@@ -220,19 +221,15 @@ class MatchSession:
         return self._bits_cache
 
     def store(self) -> InternedDistanceStore:
-        """The IncMatch-ready interned distance store (lazy, version-guarded).
+        """The snapshot's IncMatch distance store (lazy, version-guarded).
 
-        Building it materialises the full matrix ``M`` (one flat BFS per
-        node), so it is computed only on first demand and rebuilt only when
-        the snapshot moved.
+        The same store the session's incremental matchers repair
+        (:meth:`CompiledGraph.distance_store`).  Building it materialises the
+        full matrix ``M`` (one flat BFS per node), so it is computed only on
+        first demand and rebuilt only when the snapshot moved without a
+        repair.
         """
-        compiled = self._sync()
-        if self._store is None or self._store_version != compiled.version:
-            from repro.distance.incremental import build_store
-
-            self._store = build_store(compiled)
-            self._store_version = compiled.version
-        return self._store
+        return self._sync().distance_store()
 
     def _sync(self) -> CompiledGraph:
         """Re-pin the snapshot when the graph's version moved out-of-band."""
@@ -517,8 +514,7 @@ class MatchSession:
                 pattern, self._graph, on_cyclic=self._on_cyclic
             )
             self._matchers[fingerprint] = matcher
-        # LRU: unlike the size-capped result/ball caches, each matcher pins
-        # a full interned distance store, so the standing set stays small.
+        # LRU: the standing set stays small (see DEFAULT_MAX_MATCHERS).
         self._matchers.move_to_end(fingerprint)
         while len(self._matchers) > DEFAULT_MAX_MATCHERS:
             self._matchers.popitem(last=False)
@@ -633,7 +629,9 @@ class MatchSession:
         """Drop cached state and shut the worker pool down.
 
         The session stays usable afterwards; caches refill and the pool
-        respawns on the next parallel dispatch.
+        respawns on the next parallel dispatch.  The snapshot's distance
+        store is not the session's to drop: it stays with the snapshot for
+        every other matcher on the graph.
         """
         if self._pool is not None:
             self._pool.shutdown()
@@ -642,8 +640,6 @@ class MatchSession:
         self._matchers.clear()
         if self._edge_cache is not None:
             self._edge_cache.clear()
-        self._store = None
-        self._store_version = None
 
     def __enter__(self) -> "MatchSession":
         return self

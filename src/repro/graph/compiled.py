@@ -135,6 +135,7 @@ class CompiledGraph:
         "_patched_fwd_seq",
         "_patched_rev_seq",
         "_flat_kernel",
+        "_distance_store",
         "_graph_ref",
         "_patch_listeners",
         "_card_cache",
@@ -211,6 +212,7 @@ class CompiledGraph:
         self._patched_fwd_seq: Dict[int, Tuple[int, ...]] = {}
         self._patched_rev_seq: Dict[int, Tuple[int, ...]] = {}
         self._flat_kernel = None
+        self._distance_store = None
         self._graph_ref = weakref.ref(graph)
         # Weakly-held callbacks fired after every patch (see
         # add_patch_listener); the engine's result caches subscribe here.
@@ -644,6 +646,24 @@ class CompiledGraph:
 
             kernel = self._flat_kernel = FlatBFSKernel(self)
         return kernel
+
+    def distance_store(self):
+        """The snapshot's one IncMatch distance store ``M`` (lazily built).
+
+        Every incremental matcher pinned to the snapshot shares it; the
+        ``update_store_*`` repairs keep it current and stamp it with the
+        version they reached.  It is rebuilt with
+        :func:`~repro.distance.incremental.build_store` only when missing or
+        when its stamp trails :attr:`version` (a patch that did not repair it).
+        """
+        store = self._distance_store
+        if store is None or store.version != self.version:
+            from repro.distance.incremental import build_store
+
+            store = self._distance_store = build_store(self)
+        if _sanitize.ENABLED:
+            _sanitize.store_adopted(self, store)
+        return store
 
     def descendants_within_bits(self, source: int, bound: Optional[int]) -> int:
         """Bitset of nodes reachable from *source* via a nonempty path ``<= bound``.

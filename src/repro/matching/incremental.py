@@ -5,7 +5,8 @@ evolving data graph ``G``:
 
 * the distance matrix ``M`` as an
   :class:`~repro.distance.matrix.InternedDistanceStore` (repaired by
-  ``UpdateM`` / ``UpdateBM`` from :mod:`repro.distance.incremental`);
+  ``UpdateM`` / ``UpdateBM`` from :mod:`repro.distance.incremental`) — the
+  one store of the pinned snapshot, shared with every other matcher on it;
 * the per-pattern-node match sets ``mat(u)`` (the greatest bounded-simulation
   fixpoint) and candidate sets ``can(u)`` (nodes satisfying the predicate of
   ``u`` that currently do not match it);
@@ -30,8 +31,9 @@ pairs reaches the new greatest fixpoint for *any* pattern.  Insertions only
 grow the match, but with a cyclic pattern two additions can be mutually
 dependent (each is valid only if the other is made), which bottom-up
 worklist propagation cannot discover; the paper leaves cyclic patterns open
-and so do we — a :class:`~repro.exceptions.CyclicPatternError` is raised
-unless ``on_cyclic="recompute"`` asks for a full recomputation fallback.
+and so do we — a :class:`~repro.exceptions.CyclicPatternError` is raised,
+before the update touches the graph, unless ``on_cyclic="recompute"`` asks
+for a full recomputation fallback.
 
 The compiled core
 -----------------
@@ -56,14 +58,16 @@ Staleness and re-interning rules:
 * nodes added to the graph *between* matcher operations are re-interned at
   the next operation: they get fresh dense indices appended at the end, so
   all existing bitsets remain valid (``intern_node``);
-* any other out-of-band mutation (edges changed behind the matcher's back,
-  attribute updates, or another matcher's updates on the same graph) is
-  detected through the graph's version counter and answered with a full
-  re-pin — current snapshot from the compile cache, store rebuilt with
-  :func:`~repro.distance.incremental.build_store`, fixpoint rebuilt — at
-  the start of the next operation.  Such changes are repaired but not
-  reported: ``AffectedArea``\\ s only cover updates applied through the
-  matcher.
+* any other change (another matcher's updates, edges changed behind the
+  matcher's back, attribute updates) is detected through the graph's
+  version counter and answered with a re-pin at the next operation: the
+  current snapshot from the compile cache, its shared distance store and a
+  fresh fixpoint.  After another matcher's batch the store is the one that
+  matcher repaired, so nothing is rebuilt; only a store that is missing (a
+  recompiled snapshot) or stale (e.g. after ``MatchSession.patch_edge_*``)
+  is rebuilt with :func:`~repro.distance.incremental.build_store`.  Such
+  changes are repaired but not reported: ``AffectedArea``\\ s only cover
+  updates applied through the matcher.
 """
 
 from __future__ import annotations
@@ -74,7 +78,6 @@ from repro.distance.incremental import (
     AffectedPairs,
     EdgeUpdate,
     InternedAffectedPairs,
-    build_store,
     merge_affected_into,
     update_store_delete,
     update_store_insert,
@@ -149,13 +152,15 @@ class IncrementalMatcher:
     # ------------------------------------------------------------------
 
     def _pin_snapshot(self) -> None:
-        """(Re)pin the compiled snapshot and rebuild every derived structure.
+        """(Re)pin the compiled snapshot and rebuild the match sets over it.
 
         Used at construction and as the full re-pin of the staleness
-        protocol.
+        protocol.  The distance store is the snapshot's shared one
+        (:meth:`CompiledGraph.distance_store`), so a re-pin after a sibling
+        matcher's batch costs the candidate bitsets and one fixpoint.
         """
         self._compiled: CompiledGraph = compile_graph(self.graph)
-        self._store = build_store(self._compiled)
+        self._store = self._compiled.distance_store()
         self._synced_version = self.graph.version
         self._cand_bits: Dict[PatternNodeId, int] = candidate_bits(
             self.pattern, self._compiled, out_degree_filter=False
@@ -185,10 +190,12 @@ class IncrementalMatcher:
         compiled = self._compiled
         new_nodes = [node for node in graph.nodes() if node not in compiled]
         if new_nodes and graph.version - self._synced_version == len(new_nodes):
+            store = self._store
+            store_current = store.version == compiled.version
             for node in new_nodes:
                 attrs = graph.attributes(node)
                 index = compiled.intern_node(node, attrs)
-                self._store.ensure_index(index)
+                store.ensure_index(index)
                 bit = 1 << index
                 for u in self.pattern.nodes():
                     if self.pattern.predicate(u).evaluate(attrs):
@@ -201,8 +208,11 @@ class IncrementalMatcher:
                             self._can_bits[u] |= bit
             # Batched additions move the version by more than one patch
             # step; the loop above replayed them all, so adopt the graph's
-            # version wholesale.
+            # version wholesale, and stamp the store that gained their rows.
             compiled.version = graph.version
+            if store_current:
+                store.version = compiled.version
+            self._store = compiled.distance_store()
         else:
             self._pin_snapshot()
         self._synced_version = graph.version
@@ -229,47 +239,19 @@ class IncrementalMatcher:
         Works for arbitrary (possibly cyclic) patterns and data graphs.
         Deleting an edge that does not exist is a true no-op: the graph, the
         distance store and the match are untouched and the returned
-        :class:`AffectedArea` is empty.
+        :class:`AffectedArea` is empty.  The one-update case of :meth:`apply`.
         """
-        self._ensure_synced()
-        existed = self.graph.has_edge(source, target)
-        aff1 = update_store_delete(self._store, source, target)
-        self._synced_version = self.graph.version
-        tails = (self._compiled.id_of(source),) if existed else ()
-        removed = self._process_distance_increases(aff1, touched_tails=tails)
-        return AffectedArea(
-            distance_changes=self._decode_aff1(aff1),
-            removed_matches=self._decode_match_pairs(removed),
-        )
+        return self.apply((EdgeUpdate.delete(source, target),))
 
     def insert_edge(self, source: NodeId, target: NodeId) -> AffectedArea:
         """``Match⁺``: insert edge ``(source, target)`` and repair the match.
 
-        Requires a DAG pattern (see the module docstring); inserting an edge
-        that already exists is a true no-op (nothing is mutated, the
+        Requires a DAG pattern (see the module docstring).  Inserting an
+        edge that already exists is a true no-op (nothing is mutated, the
         returned :class:`AffectedArea` is empty, and no DAG check is
-        performed).
+        performed).  The one-update case of :meth:`apply`.
         """
-        self._ensure_synced()
-        existed = self.graph.has_edge(source, target)
-        aff1 = update_store_insert(self._store, source, target)
-        self._synced_version = self.graph.version
-        if existed:
-            return AffectedArea(distance_changes=self._decode_aff1(aff1))
-        if not self._pattern_is_dag:
-            if self.on_cyclic == "raise":
-                raise CyclicPatternError(
-                    "Match+ requires a DAG pattern; construct the matcher with "
-                    "on_cyclic='recompute' to fall back to full recomputation"
-                )
-            return self._recompute_fallback(aff1)
-        added = self._process_distance_decreases(
-            aff1, touched_tails=(self._compiled.id_of(source),)
-        )
-        return AffectedArea(
-            distance_changes=self._decode_aff1(aff1),
-            added_matches=self._decode_match_pairs(added),
-        )
+        return self.apply((EdgeUpdate.insert(source, target),))
 
     # ------------------------------------------------------------------
     # batch updates — IncMatch
@@ -283,8 +265,9 @@ class IncrementalMatcher:
         ``Match⁻`` removal propagation, decreases with the ``Match⁺``
         addition propagation.  Requires a DAG pattern when ``δ`` contains
         insertions (no-op insertions — re-inserting an existing edge — do
-        not count).
+        not count); a rejected batch raises before it touches anything.
         """
+        self._check_dag_for(updates)
         self._ensure_synced()
         graph = self.graph
         aff1: InternedAffectedPairs = {}
@@ -302,20 +285,11 @@ class IncrementalMatcher:
                     delete_tails.add(self._compiled.id_of(update.source))
             merge_affected_into(aff1, step)
         self._synced_version = graph.version
-
-        increases = {pair: change for pair, change in aff1.items() if change[1] > change[0]}
-        decreases = {pair: change for pair, change in aff1.items() if change[1] < change[0]}
-
-        if (decreases or insert_tails) and not self._pattern_is_dag:
-            if self.on_cyclic == "raise":
-                raise CyclicPatternError(
-                    "IncMatch with insertions requires a DAG pattern; construct "
-                    "the matcher with on_cyclic='recompute' for a fallback"
-                )
+        if insert_tails and not self._pattern_is_dag:
             return self._recompute_fallback(aff1)
 
-        removed = self._process_distance_increases(increases, touched_tails=delete_tails)
-        added = self._process_distance_decreases(decreases, touched_tails=insert_tails)
+        removed = self._process_distance_increases(aff1, touched_tails=delete_tails)
+        added = self._process_distance_decreases(aff1, touched_tails=insert_tails)
         # A pair dropped by the removal phase and recovered by the addition
         # phase is not part of AFF2: the net match change is what counts.
         return AffectedArea(
@@ -347,18 +321,10 @@ class IncrementalMatcher:
         mat = self._mat_bits
         can = self._can_bits
 
-        recheck_sources: Set[int] = set(touched_tails)
-        for (v_source, v_target), (old, new) in aff1.items():
-            if new <= old:
-                continue
-            recheck_sources.add(v_source)
-            if compiled.has_edge_indices(v_target, v_source):
-                recheck_sources.add(v_target)
-
         worklist: List[Tuple[PatternNodeId, int]] = []
         scheduled: Set[Tuple[PatternNodeId, int]] = set()
 
-        for v in recheck_sources:
+        for v in self._recheck_sources(aff1, touched_tails, grew=True):
             vbit = 1 << v
             for u_parent in pattern.nodes():
                 if not mat[u_parent] & vbit:
@@ -415,18 +381,10 @@ class IncrementalMatcher:
         mat = self._mat_bits
         can = self._can_bits
 
-        recheck_sources: Set[int] = set(touched_tails)
-        for (v_source, v_target), (old, new) in aff1.items():
-            if new >= old:
-                continue
-            recheck_sources.add(v_source)
-            if compiled.has_edge_indices(v_target, v_source):
-                recheck_sources.add(v_target)
-
         worklist: List[Tuple[PatternNodeId, int]] = []
         scheduled: Set[Tuple[PatternNodeId, int]] = set()
 
-        for v in recheck_sources:
+        for v in self._recheck_sources(aff1, touched_tails, grew=False):
             vbit = 1 << v
             for u_parent in pattern.nodes():
                 if not can[u_parent] & vbit:
@@ -466,6 +424,49 @@ class IncrementalMatcher:
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
+
+    def _recheck_sources(
+        self, aff1: InternedAffectedPairs, touched_tails: Iterable[int], *, grew: bool
+    ) -> Set[int]:
+        """Data nodes whose support may have changed with the distances.
+
+        The source of every pair whose distance grew (``grew``) or shrank,
+        plus its target when an edge leads back to the source (the pair
+        closes a cycle through the target), plus *touched_tails*.
+        """
+        has_edge = self._compiled.has_edge_indices
+        sources: Set[int] = set(touched_tails)
+        for (v_source, v_target), (old, new) in aff1.items():
+            if (new > old) == grew:
+                sources.add(v_source)
+                if has_edge(v_target, v_source):
+                    sources.add(v_target)
+        return sources
+
+    def _check_dag_for(self, updates: Sequence[EdgeUpdate]) -> None:
+        """Refuse, before anything is touched, a batch a cyclic pattern cannot take.
+
+        With ``on_cyclic="raise"`` a batch that really inserts an edge raises
+        :class:`CyclicPatternError`.  Presence is tracked through the batch:
+        re-inserting an existing edge does not count, deleting and
+        re-inserting one does.
+        """
+        if self._pattern_is_dag or self.on_cyclic != "raise":
+            return
+        has_edge = self.graph.has_edge
+        present: Dict[Tuple[NodeId, NodeId], bool] = {}
+        for update in updates:
+            edge = (update.source, update.target)
+            exists = present.get(edge)
+            if exists is None:
+                exists = has_edge(*edge)
+            if update.is_insert and not exists:
+                raise CyclicPatternError(
+                    "insertions require a DAG pattern (Match+/IncMatch); "
+                    "construct the matcher with on_cyclic='recompute' to fall "
+                    "back to full recomputation"
+                )
+            present[edge] = update.is_insert
 
     def _has_support(
         self, index: int, u_child: PatternNodeId, bound: Optional[int]

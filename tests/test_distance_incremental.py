@@ -203,3 +203,30 @@ class TestBatchAndMerge:
         update_store_insert(store, "n4", "n0")
         update_store_delete(store, "n4", "n0")
         assert decoded(store) == before
+
+
+class TestVersionStamp:
+    """Repairs stamp the store; the snapshot's lookup trusts only the stamp."""
+
+    def test_repairs_keep_the_snapshot_store_current(self, chain_graph):
+        compiled = compile_graph(chain_graph)
+        store = compiled.distance_store()
+        assert store.version == compiled.version
+        update_store_insert(store, "n4", "n0")
+        update_store_delete(store, "n1", "n2")
+        update_store_delete(store, "n1", "n2")  # no-op: stamp unchanged
+        assert store.version == compiled.version == chain_graph.version
+        assert compiled.distance_store() is store
+        assert decoded(store) == reference(chain_graph)
+
+    def test_repair_does_not_revive_a_stale_store(self, chain_graph):
+        compiled = compile_graph(chain_graph)
+        store = compiled.distance_store()
+        # Patched without a repair: the store missed this deletion.
+        chain_graph.remove_edge("n1", "n2")
+        compiled.patch_edge_delete("n1", "n2")
+        update_store_insert(store, "n4", "n0")
+        assert store.version != compiled.version
+        rebuilt = compiled.distance_store()
+        assert rebuilt is not store
+        assert decoded(rebuilt) == reference(chain_graph)

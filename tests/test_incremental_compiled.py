@@ -12,7 +12,10 @@ Covers:
   ``old == new``);
 * the snapshot patch layer (``patch_edge_insert``/``patch_edge_delete``/
   ``intern_node``) against full recompilation, and re-pins of standing
-  matchers that share one patched snapshot;
+  matchers that share one patched snapshot and its one distance store
+  (differentially against ``naive_match`` and a fresh ``build_store``, and
+  by counting ``build_store`` calls);
+* cyclic-pattern insertions rejected before the graph is touched;
 * the weak compile cache (discarded graphs must not leak snapshots);
 * the compiled ``UpdateM``/``UpdateBM`` against a fresh distance matrix.
 """
@@ -24,8 +27,10 @@ import random
 
 import pytest
 
+from repro.distance import incremental as incremental_distance
 from repro.distance.incremental import (
     EdgeUpdate,
+    build_store,
     merge_affected_into,
     update_store_batch,
     update_store_delete,
@@ -33,7 +38,7 @@ from repro.distance.incremental import (
 )
 from repro.distance.matrix import DistanceMatrix, InternedDistanceStore
 from repro.distance.oracle import INF
-from repro.engine.session import MatchSession
+from repro.engine.session import DEFAULT_MAX_MATCHERS, MatchSession
 from repro.exceptions import CyclicPatternError, DistanceOracleError
 from repro.graph.compiled import CompiledGraph, compile_graph, _COMPILE_CACHE
 from repro.graph.datagraph import DataGraph
@@ -492,7 +497,8 @@ class TestSnapshotPatching:
 class TestStandingMatcherRepin:
     def test_round_robin_batches_repin_through_build_store(self):
         """Two standing matchers on one session take turns patching the
-        shared snapshot; each re-pins its store on the other's patches."""
+        shared snapshot; each re-pins onto the snapshot's store, which the
+        other's batch repaired."""
         graph = random_data_graph(30, 70, num_labels=4, seed=21)
         generator = PatternGenerator(graph, seed=21)
         patterns = [generator.generate_dag(4, 4, 3), generator.generate_dag(3, 3, 2)]
@@ -511,6 +517,226 @@ class TestStandingMatcherRepin:
                 assert decoded(matcher._store) == distances
                 assert session.match(other) == expected
                 assert match(other, graph) == expected
+
+
+def two_cycle_pattern() -> Pattern:
+    """``a(X) <-> b(Y)``: the smallest cyclic pattern."""
+    pattern = Pattern()
+    pattern.add_node("a", "X")
+    pattern.add_node("b", "Y")
+    pattern.add_edge("a", "b")
+    pattern.add_edge("b", "a")
+    return pattern
+
+
+def one_way_graph() -> DataGraph:
+    graph = DataGraph()
+    graph.add_node("x1", label="X")
+    graph.add_node("y1", label="Y")
+    graph.add_edge("x1", "y1")
+    return graph
+
+
+class TestCyclicRejectionIsAtomic:
+    """A cyclic-pattern insertion is refused before anything is mutated."""
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_rejected_insert_leaves_graph_and_match_untouched(self, batched):
+        graph = one_way_graph()
+        pattern = two_cycle_pattern()
+        matcher = IncrementalMatcher(pattern, graph)
+        version = graph.version
+        store = matcher._store
+        with pytest.raises(CyclicPatternError):
+            run_updates(matcher, [EdgeUpdate.insert("y1", "x1")], batched)
+        assert graph.version == version
+        assert not graph.has_edge("y1", "x1")
+        assert compile_graph(graph).version == version
+        assert store.version == version
+        assert decoded(store) == reference(graph)
+        # The matcher still follows the graph: the same edge added out of
+        # band is picked up by the next operation.
+        graph.add_edge("y1", "x1")
+        matcher.apply([])
+        expected = naive_match(pattern, graph.copy())
+        assert not expected.is_empty
+        assert matcher.match == expected
+
+    def test_rejected_insert_through_session_caches_no_stale_match(self):
+        graph = one_way_graph()
+        pattern = two_cycle_pattern()
+        session = MatchSession(graph)
+        with pytest.raises(CyclicPatternError):
+            session.apply_updates(pattern, [EdgeUpdate.insert("y1", "x1")])
+        assert not graph.has_edge("y1", "x1")
+        graph.add_edge("y1", "x1")
+        maintained, _ = session.apply_updates(pattern, [])
+        expected = naive_match(pattern, graph.copy())
+        assert not expected.is_empty
+        assert maintained == expected
+        assert session.match(pattern) == expected
+
+    def test_presence_is_tracked_through_the_batch(self):
+        graph = one_way_graph()
+        matcher = IncrementalMatcher(two_cycle_pattern(), graph)
+        # Re-inserting the existing edge is a no-op, even after a no-op
+        # delete of a missing one.
+        matcher.apply(
+            [EdgeUpdate.delete("y1", "x1"), EdgeUpdate.insert("x1", "y1")]
+        )
+        version = graph.version
+        # Deleting then re-inserting an edge really inserts it: refused, and
+        # the deletion ahead of it is not applied either.
+        with pytest.raises(CyclicPatternError):
+            matcher.apply(
+                [EdgeUpdate.delete("x1", "y1"), EdgeUpdate.insert("x1", "y1")]
+            )
+        assert graph.version == version
+        assert graph.has_edge("x1", "y1")
+
+
+def filler_pattern(bound: int) -> Pattern:
+    """A one-edge pattern whose fingerprint differs per *bound*."""
+    pattern = Pattern()
+    pattern.add_node("p", "L0")
+    pattern.add_node("q", "L1")
+    pattern.add_edge("p", "q", bound)
+    return pattern
+
+
+def fresh_store_entries(graph):
+    """The finite entries of ``build_store`` over a fresh compile of *graph*."""
+    return decoded(build_store(CompiledGraph.from_graph(graph.copy())))
+
+
+class TestSharedStoreDifferential:
+    def test_standing_matchers_share_one_repaired_store(self):
+        """Three standing matchers — two DAG, one cyclic on the recompute
+        fallback — take turns; node additions, an out-of-band edge and LRU
+        eviction land between batches.  Every maintained match equals
+        ``naive_match`` and every matcher's store, which is its snapshot's
+        one shared store, equals a fresh ``build_store``."""
+        graph = random_data_graph(24, 60, num_labels=3, seed=5)
+        generator = PatternGenerator(graph, seed=5)
+        cyclic = Pattern()
+        cyclic.add_node("a", "L0")
+        cyclic.add_node("b", "L1")
+        cyclic.add_edge("a", "b", 2)
+        cyclic.add_edge("b", "a", 3)
+        patterns = [generator.generate_dag(4, 4, 3), generator.generate_dag(3, 3, 2), cyclic]
+        session = MatchSession(graph, on_cyclic="recompute")
+        for pattern in patterns:
+            session.incremental_matcher(pattern)
+        rng = random.Random(5)
+        for round_index in range(12):
+            if round_index in (3, 4):
+                for k in range(2):
+                    graph.add_node(f"n{round_index}_{k}", label=f"L{k}")
+            if round_index == 6:
+                source, target = next(
+                    (s, t)
+                    for s in graph.node_list()
+                    for t in graph.node_list()
+                    if s != t and not graph.has_edge(s, t)
+                )
+                graph.add_edge(source, target)
+            if round_index == 9:
+                for bound in range(1, DEFAULT_MAX_MATCHERS + 1):
+                    session.incremental_matcher(filler_pattern(bound))
+                assert session.stats()["incremental_matchers"] == DEFAULT_MAX_MATCHERS
+            pattern = patterns[round_index % len(patterns)]
+            result, _ = session.apply_updates(pattern, mixed_stream(graph, rng, 5))
+            assert result == naive_match(pattern, graph.copy())
+            expected_store = fresh_store_entries(graph)
+            for other in patterns:
+                matcher = session.incremental_matcher(other)
+                matcher.apply([])
+                assert matcher.match == naive_match(other, graph.copy())
+                assert matcher._store is matcher._compiled.distance_store()
+                assert decoded(matcher._store) == expected_store
+
+
+class TestSharedStoreBuilds:
+    """``build_store`` runs only when a snapshot's store is missing or stale."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = incremental_distance.build_store
+
+        def counting(compiled):
+            calls.append(compiled)
+            return real(compiled)
+
+        monkeypatch.setattr(incremental_distance, "build_store", counting)
+        return calls
+
+    @staticmethod
+    def standing_session(seed):
+        graph = random_data_graph(30, 70, num_labels=4, seed=seed)
+        generator = PatternGenerator(graph, seed=seed)
+        patterns = [generator.generate_dag(4, 4, 3), generator.generate_dag(3, 3, 2)]
+        session = MatchSession(graph)
+        for pattern in patterns:
+            session.incremental_matcher(pattern)
+        return graph, patterns, session
+
+    def test_sibling_batches_build_no_store(self, builds):
+        graph, patterns, session = self.standing_session(21)
+        assert len(builds) == 1
+        builds.clear()
+        rng = random.Random(21)
+        for round_index in range(8):
+            pattern = patterns[round_index % 2]
+            result, _ = session.apply_updates(pattern, mixed_stream(graph, rng, 5))
+            assert result == naive_match(pattern, graph.copy())
+        assert builds == []
+
+    @pytest.mark.parametrize("through_session", [False, True])
+    def test_out_of_band_mutation_builds_exactly_once(self, builds, through_session):
+        graph, patterns, session = self.standing_session(22)
+        source, target = next(
+            (s, t)
+            for s in graph.node_list()
+            for t in graph.node_list()
+            if s != t and not graph.has_edge(s, t)
+        )
+        builds.clear()
+        if through_session:
+            # Patches the snapshot but leaves its store unrepaired.
+            assert session.patch_edge_insert(source, target)
+        else:
+            graph.add_edge(source, target)
+        rng = random.Random(22)
+        for round_index in range(4):
+            pattern = patterns[round_index % 2]
+            result, _ = session.apply_updates(pattern, mixed_stream(graph, rng, 4))
+            assert result == naive_match(pattern, graph.copy())
+        assert len(builds) == 1
+
+    def test_node_additions_reintern_without_build(self, builds):
+        graph = random_data_graph(20, 45, num_labels=3, seed=9)
+        generator = PatternGenerator(graph, seed=9)
+        first = IncrementalMatcher(generator.generate_dag(4, 4, 3), graph)
+        second = IncrementalMatcher(generator.generate_dag(3, 3, 2), graph)
+        builds.clear()
+        graph.add_node("fresh", label="L0")
+        graph.add_node("fresher", label="L1")
+        target = graph.node_list()[0]
+        first.apply([EdgeUpdate.insert("fresh", target), EdgeUpdate.insert("fresher", "fresh")])
+        second.apply([])
+        assert builds == []
+        for matcher in (first, second):
+            assert matcher.match == naive_match(matcher.pattern, graph.copy())
+            assert decoded(matcher._store) == fresh_store_entries(graph)
+
+    def test_two_matchers_on_one_graph_build_one_store(self, builds):
+        graph = random_data_graph(20, 45, num_labels=3, seed=8)
+        generator = PatternGenerator(graph, seed=8)
+        first = IncrementalMatcher(generator.generate_dag(4, 4, 3), graph)
+        second = IncrementalMatcher(generator.generate_dag(3, 3, 2), graph)
+        assert len(builds) == 1
+        assert first._store is second._store
 
 
 class TestWeakCompileCache:

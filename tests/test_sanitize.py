@@ -203,6 +203,40 @@ class TestPatchHooks:
             sanitize.patch_applied(compiled)
 
 
+class TestStoreAdoptionHook:
+    def test_current_store_passes(self, armed, graph):
+        compiled = compile_graph(graph)
+        store = compiled.distance_store()
+        sanitize.store_adopted(compiled, store)
+        assert MatchSession(graph).store() is store
+
+    def test_stamp_behind_snapshot_is_flagged(self, graph):
+        compiled = compile_graph(graph)
+        store = compiled.distance_store()
+        store.version -= 1
+        with pytest.raises(SanitizeError):
+            sanitize.store_adopted(compiled, store)
+
+    def test_store_of_another_snapshot_is_flagged(self, graph):
+        store = compile_graph(graph).distance_store()
+        other = compile_graph(random_data_graph(30, 90, seed=15))
+        with pytest.raises(SanitizeError):
+            sanitize.store_adopted(other, store)
+
+    def test_missing_rows_are_flagged(self, graph):
+        compiled = compile_graph(graph)
+        store = compiled.distance_store()
+        store.rows.pop()
+        with pytest.raises(SanitizeError):
+            sanitize.store_adopted(compiled, store)
+
+    def test_lookup_on_a_snapshot_behind_its_graph_is_flagged(self, armed, graph):
+        compiled = compile_graph(graph)
+        graph.add_node("late", label="L0")
+        with pytest.raises(SanitizeError):
+            compiled.distance_store()
+
+
 class TestInternedStoreMemo:
     def test_set_distance_invalidates_memo_eagerly(self, graph):
         compiled = compile_graph(graph)

@@ -19,18 +19,26 @@ Three old-vs-new comparisons at the fig6(f)-(h) smoke sizes
 * **match precompute** — ``match()`` end-to-end with a freshly built legacy
   matrix (the old default) vs the current default compiled oracle
   (gate: >= 3x).
+
+One further case measures scale rather than a ratio: the **store scale**
+case builds the IncMatch store for ``youtube_graph`` at 741, 1,483 and
+2,966 nodes and records its ``tracemalloc`` size and build seconds in
+``extra_info`` (gate: <= 20 MB at 2,966 nodes).
 """
 
 from __future__ import annotations
 
 import json
 import random
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import best_of
 
+from repro.datasets.synthetic_real import youtube_graph
 from repro.distance.compiled import CompiledDistanceMatrix
 from repro.distance.incremental import build_store
 from repro.distance.matrix import DistanceMatrix, InternedDistanceStore
@@ -186,3 +194,36 @@ def test_bench_match_precompute_end_to_end(benchmark, setup):
     speedup = _record(benchmark, "match_precompute", legacy_s, compiled_s)
     # Acceptance gate of the compiled distance engine.
     assert speedup >= 3.0, f"compiled match precompute only {speedup:.1f}x faster"
+
+
+#: The store-scale case: youtube_graph scales of 741, 1,483 and 2,966 nodes.
+STORE_SCALES = (0.05, 0.1, 0.2)
+
+#: Gate on the traced size of the store at the largest scale (2,966 nodes:
+#: 8.8 MB of cells; the dict-of-finite-entries layout measured 567 MB).
+STORE_MB_GATE = 20.0
+
+
+@pytest.mark.parametrize("scale", STORE_SCALES)
+def test_bench_store_scale(benchmark, scale):
+    """The IncMatch store of the whole Exp-3 graph: traced size and build time."""
+    graph = youtube_graph(scale=scale)
+    compiled = CompiledGraph.from_graph(graph)
+    # The snapshot's decoded adjacency is the snapshot's, not the store's.
+    compiled.flat_kernel().adjacency_tuples()
+    start = time.perf_counter()
+    benchmark.pedantic(build_store, args=(compiled,), rounds=1, iterations=1)
+    build_s = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        store = build_store(compiled)
+        store_mb = (tracemalloc.get_traced_memory()[0] - before) / 1e6
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["num_nodes"] = store.num_nodes
+    benchmark.extra_info["store_mb"] = round(store_mb, 2)
+    benchmark.extra_info["build_s"] = round(build_s, 3)
+    assert store.num_nodes == graph.number_of_nodes()
+    if scale == max(STORE_SCALES):
+        assert store_mb <= STORE_MB_GATE, f"store of {store.num_nodes} nodes is {store_mb:.1f} MB"

@@ -32,6 +32,7 @@ from repro.exceptions import (
     CyclicPatternError,
     DatasetError,
     DistanceOracleError,
+    DistanceOverflowError,
     DuplicateEdgeError,
     DuplicateNodeError,
     EdgeNotFoundError,
@@ -157,6 +158,7 @@ __all__ = [
     "IncrementalError",
     "CyclicPatternError",
     "DistanceOracleError",
+    "DistanceOverflowError",
     "DatasetError",
     "ExperimentError",
     "SerializationError",

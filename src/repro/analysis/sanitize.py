@@ -109,17 +109,18 @@ def store_adopted(compiled, store) -> None:
     """A snapshot's shared distance store must be current when handed out.
 
     Its stamp equals the snapshot's version, which equals the graph's, and
-    it has a row for every interned node.
+    it covers every interned node with a full ``n x n`` cell array.
     """
     graph = compiled.graph
     if (
         store.compiled is not compiled
         or store.version != compiled.version
         or (graph is not None and graph.version != compiled.version)
-        or len(store.rows) < compiled.num_nodes
+        or store.num_nodes < compiled.num_nodes
+        or len(store.flat) != store.num_nodes * store.num_nodes
     ):
         fail(
-            f"distance store v{store.version} with {len(store.rows)} rows "
+            f"distance store v{store.version} of {store.num_nodes} nodes "
             f"handed out for snapshot v{compiled.version} of "
             f"{compiled.num_nodes} nodes (graph "
             f"v{graph.version if graph is not None else '?'})"

@@ -36,7 +36,7 @@ or :func:`~repro.distance.incremental.build_store`, which fill an
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 from repro.analysis import sanitize as _sanitize
 from repro.exceptions import DistanceOracleError, NodeNotFoundError
@@ -70,10 +70,10 @@ class FlatBFSKernel:
       expands by OR-ing the cached neighbour bitsets of the frontier's
       members — ``O(frontier * |V|/64)`` word operations in C rather than
       one interpreted step per edge.
-    * :meth:`distance_row` / :meth:`sparse_distances` walk a tuple-decoded
-      CSR (interned ints only); the output row/dict doubles as the visited
-      set, so nothing else is allocated.  Dense rows start as a copy of an
-      all ``-1`` ``array('i')`` template (one C memcpy).
+    * :meth:`distance_row` walks a tuple-decoded CSR (interned ints only);
+      the output row doubles as the visited set, so nothing else is
+      allocated.  Rows start as a copy of an all ``-1`` ``array('i')``
+      template (one C memcpy).
 
     The kernel is patch-aware: nodes with an adjacency overlay (see
     :meth:`~repro.graph.compiled.CompiledGraph.patch_edge_insert`) are
@@ -104,7 +104,7 @@ class FlatBFSKernel:
             self._template.extend([-1] * grow)
         return self._template
 
-    def _adj_tuples(self, reverse: bool) -> List[Tuple[int, ...]]:
+    def adjacency_tuples(self, reverse: bool = False) -> List[Tuple[int, ...]]:
         """Per-node neighbour tuples, decoded from the CSR + patch overlay.
 
         Cached per direction and re-derived when the snapshot's version
@@ -215,7 +215,7 @@ class FlatBFSKernel:
         """
         if bound is not None and bound <= 0:
             return ()
-        adjacency = self._adj_tuples(reverse)
+        adjacency = self.adjacency_tuples(reverse)
         seen = {source}
         seen_add = seen.add
         frontier = [source]
@@ -256,7 +256,7 @@ class FlatBFSKernel:
         is meant to be cached by the caller) and doubles as the visited set
         during the search.
         """
-        adjacency = self._adj_tuples(reverse)
+        adjacency = self.adjacency_tuples(reverse)
         row = array("i", self._row_template())
         row[source] = 0
         frontier = [source]
@@ -272,31 +272,6 @@ class FlatBFSKernel:
                         append(j)
             frontier = next_frontier
         return row
-
-    def sparse_distances(
-        self, source: int, *, reverse: bool = False, bound: Optional[int] = None
-    ) -> Dict[int, int]:
-        """``{index: hops}`` for every node reached from *source* (itself at 0).
-
-        The sparse counterpart of :meth:`distance_row` for consumers that
-        store only finite entries (the interned distance store); the dict
-        doubles as the visited set.
-        """
-        adjacency = self._adj_tuples(reverse)
-        distances: Dict[int, int] = {source: 0}
-        frontier = [source]
-        depth = 0
-        while frontier and (bound is None or depth < bound):
-            depth += 1
-            next_frontier: List[int] = []
-            append = next_frontier.append
-            for i in frontier:
-                for j in adjacency[i]:
-                    if j not in distances:
-                        distances[j] = depth
-                        append(j)
-            frontier = next_frontier
-        return distances
 
 
 class CompiledDistanceMatrix(DistanceOracle):

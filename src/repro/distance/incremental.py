@@ -10,11 +10,16 @@ Section 4 of the paper relies on two procedures:
 
 Both run on the compiled substrate of the incremental matcher: the
 distances live in an :class:`~repro.distance.matrix.InternedDistanceStore`
-keyed by the dense integer ids of a pinned
-:class:`~repro.graph.compiled.CompiledGraph` (built by :func:`build_store`),
-adjacency comes from the snapshot's CSR arrays (plus its patch overlay), and
-each edge update mutates the graph and *patches* the snapshot instead of
-forcing a recompile.  Each call returns a mapping
+— one flat ``bytearray`` of ``n x n`` one-byte cells indexed by the dense
+integer ids of a pinned :class:`~repro.graph.compiled.CompiledGraph` (built
+by :func:`build_store`) — adjacency comes from the snapshot's CSR arrays
+(plus its patch overlay), and each edge update mutates the graph and
+*patches* the snapshot instead of forcing a recompile.  The repair loops
+read rows and columns as C-level slices of the cells and write repaired
+cells in place.  A cell holds at most 254 hops: a build or repair that
+would need a longer distance raises
+:class:`~repro.exceptions.DistanceOverflowError` and leaves no store that
+looks current.  Each call returns a mapping
 
     ``{(source, sink): (old_distance, new_distance)}``
 
@@ -41,9 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.exceptions import DistanceOracleError
+from repro.exceptions import DistanceOracleError, DistanceOverflowError
 from repro.graph.datagraph import DataGraph, NodeId
-from repro.distance.matrix import InternedDistanceStore
+from repro.distance.matrix import INF_CELL, MAX_STORED_DISTANCE, InternedDistanceStore
 from repro.distance.oracle import INF
 from repro.utils.priority_queue import AddressablePriorityQueue
 
@@ -117,22 +122,46 @@ def build_store(compiled: "CompiledGraph") -> InternedDistanceStore:
     """Build a fully populated :class:`InternedDistanceStore` from *compiled*.
 
     The ``update_store_*`` repair procedures need a complete matrix ``M`` to
-    start from.  This runs the snapshot's flat BFS kernel once per node
-    (patch overlay included) and fills the interned rows/columns directly.
-    It produces the same store as re-keying a :class:`DistanceMatrix` with
-    :meth:`InternedDistanceStore.from_matrix` (the equivalence suite
-    asserts it), without the NodeId-keyed intermediate.
+    start from.  This runs one BFS per node over the snapshot's
+    tuple-decoded adjacency (patch overlay included); each row is a
+    ``bytearray`` that doubles as the visited set and is copied into the
+    store's cells in one slice assignment.  It produces the same store as
+    re-keying a :class:`DistanceMatrix` with
+    :meth:`InternedDistanceStore.from_matrix` (the equivalence suite asserts
+    it), without the NodeId-keyed intermediate.
+
+    Raises :class:`~repro.exceptions.DistanceOverflowError` when some
+    shortest path is longer than :data:`MAX_STORED_DISTANCE` hops, so no
+    caller ever adopts a store holding a truncated distance.
     """
     store = InternedDistanceStore(compiled)
-    kernel = compiled.flat_kernel()
-    rows = store.rows
-    cols = store.cols
-    for i in range(compiled.num_nodes):
-        distances = kernel.sparse_distances(i)
-        rows[i] = distances
-        for j, dist in distances.items():
-            if j != i:
-                cols[j][i] = dist
+    adjacency = compiled.flat_kernel().adjacency_tuples()
+    n = store.num_nodes
+    flat = store.flat
+    blank = b"\xff" * n
+    for i in range(n):
+        row = bytearray(blank)
+        row[i] = 0
+        frontier = [i]
+        depth = 0
+        while frontier:
+            if depth == MAX_STORED_DISTANCE:
+                if any(row[j] == INF_CELL for u in frontier for j in adjacency[u]):
+                    raise DistanceOverflowError(
+                        f"node {compiled.node_of(i)!r} has a shortest path longer "
+                        f"than {MAX_STORED_DISTANCE} hops"
+                    )
+                break
+            depth += 1
+            next_frontier: List[int] = []
+            append = next_frontier.append
+            for u in frontier:
+                for j in adjacency[u]:
+                    if row[j] == INF_CELL:
+                        row[j] = depth
+                        append(j)
+            frontier = next_frontier
+        flat[i * n : (i + 1) * n] = row
     return store
 
 
@@ -223,45 +252,47 @@ def update_store_insert(
 def _relax_store_insert(
     store: InternedDistanceStore, si: int, ti: int
 ) -> InternedAffectedPairs:
-    """The insertion relaxation over interned rows/columns.
+    """The insertion relaxation over the store's rows and columns.
 
     Every new shortest path decomposes as ``x ->* si -> ti ->* y``; a pair
     can only improve when *both* endpoints improve against the inserted
     edge's endpoints (the two-sided restriction — see the module docstring),
     so the relaxation touches ``|improved ancestors| x |improved sinks|``
-    pairs instead of ``|ancestors| x |improved sinks|``.
+    pairs instead of ``|ancestors| x |improved sinks|``.  An unreachable
+    cell (:data:`INF_CELL`) improves on any finite candidate; a candidate
+    longer than :data:`MAX_STORED_DISTANCE` raises
+    :class:`~repro.exceptions.DistanceOverflowError`.
     """
-    rows = store.rows
-    cols = store.cols
-    row_s = rows[si]
-    row_t = rows[ti]
-    col_s = cols[si]
-    col_t = cols[ti]
+    n = store.num_nodes
+    flat = store.flat
     affected: InternedAffectedPairs = {}
+    # ``d + 1 < old`` with INF_CELL read as infinity: ``old == INF_CELL``
+    # admits every finite ``d``, including 254 (whose 255 then overflows).
     sinks = [
-        (y, dist_from_target)
-        for y, dist_from_target in row_t.items()
-        if dist_from_target + 1 < row_s.get(y, INF)
+        (y, dist_from_target + 1)
+        for y, (dist_from_target, old) in enumerate(zip(store.row(ti), store.row(si)))
+        if dist_from_target + 1 < old or old == INF_CELL != dist_from_target
     ]
     if not sinks:
         return affected
     sources = [
-        (x, dist_to_source)
-        for x, dist_to_source in col_s.items()
-        if dist_to_source + 1 < col_t.get(x, INF)
+        (x * n, x, dist_to_source)
+        for x, (dist_to_source, old) in enumerate(zip(store.column(si), store.column(ti)))
+        if dist_to_source + 1 < old or old == INF_CELL != dist_to_source
     ]
     if not sources:
         return affected
-    for y, dist_from_target in sinks:
-        col_y = cols[y]
-        base = dist_from_target + 1
-        for x, dist_to_source in sources:
+    for y, base in sinks:
+        for offset, x, dist_to_source in sources:
             candidate = dist_to_source + base
-            old = col_y.get(x, INF)
-            if candidate < old:
-                affected[(x, y)] = (old, candidate)
-                col_y[x] = candidate
-                rows[x][y] = candidate
+            old = flat[offset + y]
+            if candidate < old or old == INF_CELL:
+                if candidate > MAX_STORED_DISTANCE:
+                    raise DistanceOverflowError(
+                        f"inserted edge makes a shortest path of {candidate} hops"
+                    )
+                affected[(x, y)] = (INF if old == INF_CELL else old, candidate)
+                flat[offset + y] = candidate
     return affected
 
 
@@ -286,13 +317,15 @@ def update_store_delete(
     store.clear_memo()
 
     affected: InternedAffectedPairs = {}
-    rows = store.rows
-    cols = store.cols
-    row_s = rows[si]
+    n = store.num_nodes
+    flat = store.flat
+    row_s = store.row(si)
+    # Sinks whose old shortest path from the tail may have used the edge;
+    # the chained ``< INF_CELL`` keeps unreachable sinks out.
     candidate_sinks = [
         y
-        for y, dist_from_target in rows[ti].items()
-        if row_s.get(y) == dist_from_target + 1
+        for y, (dist_from_target, tail_old) in enumerate(zip(store.row(ti), row_s))
+        if tail_old == dist_from_target + 1 < INF_CELL
     ]
     adjacency = compiled.adjacency_arrays()
     # The support scan of the edge tail is the hot early exit of the repair
@@ -302,21 +335,15 @@ def update_store_delete(
     tail_successors = patched_fwd.get(si)
     if tail_successors is None:
         tail_successors = fwd_targets[fwd_offsets[si] : fwd_offsets[si + 1]]
+    tail_offsets = [j * n for j in tail_successors]
     for sink in candidate_sinks:
         if sink == si:
             continue
-        col = cols[sink]  # live dict: old distances into sink
-        col_get = col.get
-        tail_old = col_get(si)
-        if tail_old is None:
-            continue
-        supported = False
-        for j in tail_successors:
-            dist = col_get(j)
-            if dist is not None and dist < tail_old:  # dist + 1 <= tail_old
-                supported = True  # an unaffected successor still certifies
-                break
-        if not supported:
+        tail_old = row_s[sink]
+        for offset in tail_offsets:
+            if flat[offset + sink] < tail_old:  # dist + 1 <= tail_old
+                break  # an unaffected successor still certifies
+        else:
             _repair_store_sink(store, adjacency, sink, si, tail_old, affected)
     _stamp_repaired(store, version_before)
     return affected
@@ -338,13 +365,17 @@ def _repair_store_sink(
     priority queue.  Only affected entries and their immediate frontier are
     touched — the Ramalingam–Reps bounded behaviour.  Neighbours come
     straight from the snapshot's CSR slices (or its patch overlay) and
-    distances from the int-keyed column of *sink*, which still holds the
-    pre-deletion distances.  The caller has already established that
-    *edge_tail* (at old distance *tail_old*) lost its support.
+    distances from a copy of *sink*'s column, which holds the pre-deletion
+    distances; repaired cells are written to the store directly.  The caller
+    has already established that *edge_tail* (at old distance *tail_old*)
+    lost its support.  A re-settled distance longer than
+    :data:`MAX_STORED_DISTANCE` raises
+    :class:`~repro.exceptions.DistanceOverflowError`.
     """
-    col = store.cols[sink]
+    n = store.num_nodes
+    flat = store.flat
+    col = store.column(sink)
     fwd_offsets, fwd_targets, patched_fwd, rev_offsets, rev_targets, patched_rev = adjacency
-    col_get = col.get
 
     # ---- Phase 1: grow the affected set outwards from the edge tail ----
     affected_sources = {edge_tail}
@@ -353,7 +384,7 @@ def _repair_store_sink(
     while index < len(worklist):
         node = worklist[index]
         index += 1
-        pred_dist = col_get(node, INF) + 1
+        pred_dist = col[node] + 1
         predecessors = patched_rev.get(node)
         if predecessors is None:
             predecessors = rev_targets[rev_offsets[node] : rev_offsets[node + 1]]
@@ -362,17 +393,14 @@ def _repair_store_sink(
                 continue
             # Only predecessors whose shortest path went through `node` can
             # become unsupported.
-            if col_get(pred, INF) != pred_dist:
+            if col[pred] != pred_dist:
                 continue
             successors = patched_fwd.get(pred)
             if successors is None:
                 successors = fwd_targets[fwd_offsets[pred] : fwd_offsets[pred + 1]]
             unsupported = True
             for j in successors:
-                if j in affected_sources:
-                    continue
-                dist = col_get(j)
-                if dist is not None and dist < pred_dist:  # dist + 1 <= pred old
+                if j not in affected_sources and col[j] < pred_dist:  # dist + 1 <= pred old
                     unsupported = False
                     break
             if unsupported:
@@ -382,29 +410,28 @@ def _repair_store_sink(
     # ---- Phase 2: re-settle affected sources ---------------------------
     queue = AddressablePriorityQueue()
     for node in affected_sources:
-        best = INF
+        best = INF_CELL + 1
         successors = patched_fwd.get(node)
         if successors is None:
             successors = fwd_targets[fwd_offsets[node] : fwd_offsets[node + 1]]
         for j in successors:
-            if j in affected_sources:
-                continue
-            support = col_get(j)
-            if support is not None and support + 1 < best:
-                best = support + 1
-        if best < INF:
+            if j not in affected_sources and col[j] + 1 < best:
+                best = col[j] + 1
+        if best <= INF_CELL:
             queue.push(node, best)
 
-    rows = store.rows
     settled: Set[int] = set()
     while not queue.empty():
         node, dist = queue.pop()
         settled.add(node)
-        old_value = col_get(node, INF)
+        old_value = col[node]
         if dist != old_value:
+            if dist > MAX_STORED_DISTANCE:
+                raise DistanceOverflowError(
+                    f"deleted edge stretches a shortest path to {dist} hops"
+                )
             affected[(node, sink)] = (old_value, dist)
-            col[node] = dist
-            rows[node][sink] = dist
+            flat[node * n + sink] = dist
         predecessors = patched_rev.get(node)
         if predecessors is None:
             predecessors = rev_targets[rev_offsets[node] : rev_offsets[node + 1]]
@@ -414,13 +441,9 @@ def _repair_store_sink(
 
     if len(settled) != len(affected_sources):
         for node in affected_sources:
-            if node in settled:
-                continue
-            old_value = col_get(node, INF)
-            if old_value != INF:
-                affected[(node, sink)] = (old_value, INF)
-                del col[node]
-                del rows[node][sink]
+            if node not in settled:
+                affected[(node, sink)] = (col[node], INF)
+                flat[node * n + sink] = INF_CELL
 
 
 def update_store_batch(

@@ -14,16 +14,19 @@ then on, so a workload that never asks an ancestor query (or asks about a
 few sinks) does not pay the second ``O(|V|^2)`` dict build.
 
 :class:`InternedDistanceStore` holds the same matrix keyed by the interned
-ids of a compiled snapshot; it is what the incremental procedures
-``UpdateM`` / ``UpdateBM`` (see :mod:`repro.distance.incremental`) repair in
-place.
+ids of a compiled snapshot, densely: one flat ``bytearray`` of ``n x n``
+one-byte cells (255 = unreachable), so rows and columns are C-speed slices
+and distances are limited to 254 hops.  It is what the incremental
+procedures ``UpdateM`` / ``UpdateBM`` (see :mod:`repro.distance.incremental`)
+repair in place.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple
 
-from repro.exceptions import DistanceOracleError
+from repro.exceptions import DistanceOracleError, DistanceOverflowError
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.distance.oracle import (
     DEFAULT_BITS_CACHE_SIZE,
@@ -35,7 +38,12 @@ from repro.distance.oracle import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.compiled import CompiledGraph
 
-__all__ = ["DistanceMatrix", "InternedDistanceStore"]
+__all__ = [
+    "DistanceMatrix",
+    "InternedDistanceStore",
+    "INF_CELL",
+    "MAX_STORED_DISTANCE",
+]
 
 
 class DistanceMatrix(DistanceOracle):
@@ -258,31 +266,81 @@ class DistanceMatrix(DistanceOracle):
         return mine == theirs
 
 
+
+
+#: Cell value of an unreachable pair in :class:`InternedDistanceStore`.
+INF_CELL = 255
+
+#: The longest distance a store cell holds; a longer shortest path raises
+#: :class:`~repro.exceptions.DistanceOverflowError` instead of being stored.
+MAX_STORED_DISTANCE = 254
+
+
+def _to_cell(value: float) -> int:
+    """The byte encoding of a distance (``INF`` -> :data:`INF_CELL`)."""
+    if value == INF:
+        return INF_CELL
+    if value > MAX_STORED_DISTANCE:
+        raise DistanceOverflowError(
+            f"distance {value} exceeds the store's {MAX_STORED_DISTANCE}-hop limit"
+        )
+    return int(value)
+
+
+def _blank_cells(n: int) -> bytearray:
+    """An ``n x n`` cell array: every pair unreachable except the 0 diagonal."""
+    cells = bytearray(b"\xff") * (n * n)
+    cells[:: n + 1] = bytes(n)
+    return cells
+
+
+@lru_cache(maxsize=None)
+def _within_table(bound: int) -> bytes:
+    """``bytes.translate`` table: a cell becomes ``b"1"`` iff ``1 <= cell <= bound``."""
+    return bytes(49 if 1 <= cell <= bound else 48 for cell in range(256))
+
+
+def _encode_within(cells: bytearray, bound: Optional[int]) -> int:
+    """Bitset of the positions whose cell satisfies ``1 <= cell <= bound``.
+
+    One C-level translate to an ASCII ``0``/``1`` string, reversed so that
+    position 0 is the least significant bit, then one linear base-2 parse.
+    """
+    if bound is None or bound > MAX_STORED_DISTANCE:
+        bound = MAX_STORED_DISTANCE
+    return int(cells.translate(_within_table(max(bound, 0)))[::-1], 2)
+
+
 class InternedDistanceStore:
     """The matrix ``M`` re-keyed by the interned ids of a compiled snapshot.
 
     The compiled incremental engine repairs distances in the dense integer id
-    space of a pinned :class:`~repro.graph.compiled.CompiledGraph`: rows and
-    columns are plain ``dict[int, int]`` (only finite entries, exactly like
-    :class:`DistanceMatrix`), so the Ramalingam–Reps repair loops hash small
-    integers instead of arbitrary node ids, and bounded-reachability answers
-    come out as bitsets ready for ``&``/``bit_count()`` support counting.
+    space of a pinned :class:`~repro.graph.compiled.CompiledGraph`.  ``M`` is
+    one flat ``bytearray`` of ``n x n`` cells, row-major with stride ``n``:
+    ``dist(x, y)`` is ``flat[x * n + y]``, :data:`INF_CELL` (255) means
+    unreachable and the diagonal is 0.  A row is the contiguous slice
+    ``flat[x * n:(x + 1) * n]`` and a column the strided slice
+    ``flat[y::n]``; both are C-speed copies, so no second (column-major)
+    layout is kept.  One byte per pair is what lets Exp-3 keep ``M`` for the
+    whole graph, and bounded-reachability answers come out of a row or
+    column with one ``bytes.translate`` as bitsets ready for
+    ``&``/``bit_count()`` support counting.
+
+    Distances above :data:`MAX_STORED_DISTANCE` (254 hops) do not fit a cell:
+    building or repairing a store that would need one raises
+    :class:`~repro.exceptions.DistanceOverflowError` instead.
 
     Build one with :func:`~repro.distance.incremental.build_store`, or
     re-key an up-to-date :class:`DistanceMatrix` with :meth:`from_matrix`.
     :attr:`version` stamps the snapshot version the distances reflect.
     """
 
-    __slots__ = ("compiled", "rows", "cols", "version", "_bits_memo", "_memo_version")
+    __slots__ = ("compiled", "num_nodes", "flat", "version", "_bits_memo", "_memo_version")
 
     def __init__(self, compiled: "CompiledGraph") -> None:
         self.compiled = compiled
-        n = compiled.num_nodes
-        self.rows: list = [None] * n
-        self.cols: list = [None] * n
-        for i in range(n):
-            self.rows[i] = {i: 0}
-            self.cols[i] = {i: 0}
+        self.num_nodes = compiled.num_nodes
+        self.flat = _blank_cells(self.num_nodes)
         self.version = compiled.version
         # Memoised reachability bitsets keyed by (index, bound, forward?);
         # valid between repairs.  Entries are pinned to the snapshot version
@@ -300,39 +358,57 @@ class InternedDistanceStore:
         """Re-key the finite entries of *matrix* into *compiled*'s id space."""
         store = cls(compiled)
         id_of = compiled.id_of
-        rows = store.rows
-        cols = store.cols
+        n = store.num_nodes
+        flat = store.flat
         for source, target, dist in matrix.finite_pairs():
-            i = id_of(source)
-            j = id_of(target)
-            rows[i][j] = dist
-            cols[j][i] = dist
+            flat[id_of(source) * n + id_of(target)] = _to_cell(dist)
         return store
 
     def ensure_index(self, index: int) -> None:
-        """Grow the store to cover a freshly interned *index*."""
-        while len(self.rows) <= index:
-            i = len(self.rows)
-            self.rows.append({i: 0})
-            self.cols.append({i: 0})
+        """Grow the store to cover every index up to *index*.
+
+        The cells are re-laid once for the whole growth, so a batch of
+        interned nodes costs one copy of ``M``; new nodes start isolated.
+        """
+        old = self.num_nodes
+        if index < old:
+            return
+        n = index + 1
+        flat = _blank_cells(n)
+        src = self.flat
+        for x in range(old):
+            flat[x * n : x * n + old] = src[x * old : (x + 1) * old]
+        self.flat = flat
+        self.num_nodes = n
 
     def distance(self, source: int, target: int) -> float:
         """Finite distance or :data:`INF` (0 on the diagonal)."""
-        return self.rows[source].get(target, INF)
+        cell = self.flat[source * self.num_nodes + target]
+        return INF if cell == INF_CELL else cell
 
     def set_distance(self, source: int, target: int, value: float) -> None:
-        """Set ``dist(source, target)``; :data:`INF` removes the entry."""
-        if value == INF:
-            self.rows[source].pop(target, None)
-            self.cols[target].pop(source, None)
-        else:
-            value = int(value)
-            self.rows[source][target] = value
-            self.cols[target][source] = value
+        """Set ``dist(source, target)``; :data:`INF` marks the pair unreachable."""
+        self.flat[source * self.num_nodes + target] = _to_cell(value)
         # Direct distance edits happen outside the patch protocol (no
         # version bump), so the memo must be dropped eagerly here.
         if len(self._bits_memo):
             self._bits_memo.clear()
+
+    def row(self, source: int) -> bytearray:
+        """A copy of the cells ``dist(source, *)``."""
+        n = self.num_nodes
+        return self.flat[source * n : (source + 1) * n]
+
+    def column(self, target: int) -> bytearray:
+        """A copy of the cells ``dist(*, target)``."""
+        return self.flat[target :: self.num_nodes]
+
+    def finite_pairs(self) -> Iterator[Tuple[int, int, int]]:
+        """Iterate over all finite ``(source, target, distance)`` triples."""
+        for source in range(self.num_nodes):
+            for target, cell in enumerate(self.row(source)):
+                if cell != INF_CELL:
+                    yield source, target, cell
 
     def clear_memo(self) -> None:
         """Drop the memoised reachability bitsets (call after repairs)."""
@@ -353,27 +429,13 @@ class InternedDistanceStore:
 
     def _on_cycle_within(self, index: int, bound: Optional[int]) -> bool:
         """Whether *index* lies on a directed cycle of length <= *bound*."""
-        limit = None if bound is None else bound - 1
-        col = self.cols[index]
+        limit = MAX_STORED_DISTANCE if bound is None else min(bound - 1, MAX_STORED_DISTANCE)
+        n = self.num_nodes
+        flat = self.flat
         for successor in self.compiled.successors_indices(index):
-            if successor == index:
-                return True
-            dist = col.get(successor)
-            if dist is not None and (limit is None or dist <= limit):
+            if successor == index or flat[successor * n + index] <= limit:
                 return True
         return False
-
-    def _encode_within(self, entries: Dict[int, int], bound: Optional[int]) -> int:
-        bits = 0
-        if bound is None:
-            for j, dist in entries.items():
-                if dist >= 1:
-                    bits |= 1 << j
-        else:
-            for j, dist in entries.items():
-                if 1 <= dist <= bound:
-                    bits |= 1 << j
-        return bits
 
     def descendants_within_bits(
         self, compiled: "CompiledGraph", source: int, bound: Optional[int]
@@ -389,7 +451,7 @@ class InternedDistanceStore:
         key = (source, bound, True)
         bits = self._bits_memo.get(key)
         if bits is None:
-            bits = self._encode_within(self.rows[source], bound)
+            bits = _encode_within(self.row(source), bound)
             if self._on_cycle_within(source, bound):
                 bits |= 1 << source
             self._bits_memo.put(key, bits)
@@ -403,7 +465,7 @@ class InternedDistanceStore:
         key = (target, bound, False)
         bits = self._bits_memo.get(key)
         if bits is None:
-            bits = self._encode_within(self.cols[target], bound)
+            bits = _encode_within(self.column(target), bound)
             if self._on_cycle_within(target, bound):
                 bits |= 1 << target
             self._bits_memo.put(key, bits)

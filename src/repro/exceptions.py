@@ -24,6 +24,7 @@ __all__ = [
     "IncrementalError",
     "CyclicPatternError",
     "DistanceOracleError",
+    "DistanceOverflowError",
     "DatasetError",
     "ExperimentError",
     "SerializationError",
@@ -145,6 +146,15 @@ class CyclicPatternError(IncrementalError):
 
 class DistanceOracleError(ReproError):
     """Base class for errors raised by distance oracles."""
+
+
+class DistanceOverflowError(DistanceOracleError):
+    """A shortest distance is too long for the byte cells of the IncMatch store.
+
+    :class:`~repro.distance.matrix.InternedDistanceStore` holds distances of
+    at most 254 hops; building or repairing a store that would need a longer
+    one raises this instead of storing a wrong value.
+    """
 
 
 class DatasetError(ReproError):

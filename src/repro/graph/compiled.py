@@ -18,7 +18,8 @@ module provides :class:`CompiledGraph`, a snapshot that
 Snapshots are cheap to look up and lazily (re)built: :func:`compile_graph`
 caches one snapshot per :class:`DataGraph` (weakly, so discarded graphs are
 collectable) and recompiles only when the graph's
-:attr:`~repro.graph.datagraph.DataGraph.version` counter has moved.
+:attr:`~repro.graph.datagraph.DataGraph.version` counter has moved by more
+than pure node additions, which it interns in place.
 
 Mutation tolerance
 ------------------
@@ -36,8 +37,10 @@ scratch on every mutation:
 * each patch re-synchronises :attr:`version` with the source graph **only**
   when the graph moved by exactly the one mutation being patched; any
   out-of-band change leaves the snapshot stale, which downstream consumers
-  (:func:`compile_graph`, the oracles' staleness guards) detect and answer
-  with a full recompile.
+  (:func:`compile_graph`, the oracles' staleness guards) detect.
+  :func:`compile_graph` interns out-of-band node additions into the stale
+  snapshot when they are the graph's only changes, and answers anything
+  else with a full recompile.
 
 Match results decode back to the original node ids at the API boundary, so
 callers never observe the interned integers.
@@ -548,6 +551,28 @@ class CompiledGraph:
         self._notify_patched(version_before)
         return index
 
+    def _absorb_node_additions(self, graph: DataGraph) -> bool:
+        """Intern the nodes added to *graph* since this snapshot's version.
+
+        Applies only when those additions are the graph's only mutations
+        since then (its version moved by exactly their number); the snapshot
+        then adopts the graph's version, and its distance store, if it was
+        current, grows once to cover the new (isolated) nodes and stays
+        current.  Returns whether the additions were absorbed.
+        """
+        new_nodes = [node for node in graph.nodes() if node not in self._id_of]
+        if not new_nodes or graph.version - self.version != len(new_nodes):
+            return False
+        store = self._distance_store
+        store_current = store is not None and store.version == self.version
+        for node in new_nodes:
+            self.intern_node(node, graph.attributes(node))
+        self.version = graph.version
+        if store_current:
+            store.ensure_index(self.num_nodes - 1)
+            store.version = self.version
+        return True
+
     # ------------------------------------------------------------------
     # candidate retrieval (inverted attribute index)
     # ------------------------------------------------------------------
@@ -700,9 +725,15 @@ def compile_graph(graph: DataGraph) -> CompiledGraph:
     API (:meth:`CompiledGraph.patch_edge_insert` and friends, as driven by
     the compiled incremental matcher) is served as-is, so an update stream
     pays one compile for the whole stream instead of one per mutation.
+    Pure node additions are interned into the cached snapshot instead of
+    recompiling it (appended indices keep every issued bitset valid), and
+    its current distance store grows with it rather than being rebuilt.
     """
     snapshot = _COMPILE_CACHE.get(graph)
-    if snapshot is None or snapshot.version != graph.version:
+    if snapshot is not None and snapshot.version != graph.version:
+        if not snapshot._absorb_node_additions(graph):
+            snapshot = None
+    if snapshot is None:
         snapshot = CompiledGraph.from_graph(graph)
         _COMPILE_CACHE[graph] = snapshot
     return snapshot

@@ -55,9 +55,13 @@ Staleness and re-interning rules:
   :func:`~repro.matching.bounded.match` calls against the same graph reuse
   the patched snapshot through the :func:`~repro.graph.compiled.compile_graph`
   cache;
-* nodes added to the graph *between* matcher operations are re-interned at
-  the next operation: they get fresh dense indices appended at the end, so
-  all existing bitsets remain valid (``intern_node``);
+* nodes added to the graph *between* matcher operations are interned into
+  the cached snapshot by :func:`~repro.graph.compiled.compile_graph` at the
+  next operation of any matcher: they get fresh dense indices appended at
+  the end, so all existing bitsets remain valid (``intern_node``), and the
+  snapshot's current distance store grows to cover them.  A matcher whose
+  only missed changes are such additions adds the fresh nodes to its match
+  sets in place;
 * any other change (another matcher's updates, edges changed behind the
   matcher's back, attribute updates) is detected through the graph's
   version counter and answered with a re-pin at the next operation: the
@@ -162,6 +166,7 @@ class IncrementalMatcher:
         self._compiled: CompiledGraph = compile_graph(self.graph)
         self._store = self._compiled.distance_store()
         self._synced_version = self.graph.version
+        self._synced_nodes = self._compiled.num_nodes
         self._cand_bits: Dict[PatternNodeId, int] = candidate_bits(
             self.pattern, self._compiled, out_degree_filter=False
         )
@@ -180,22 +185,25 @@ class IncrementalMatcher:
     def _ensure_synced(self) -> None:
         """Apply the staleness rules before an operation.
 
-        Pure node additions since the last operation are re-interned in
-        place (appended indices keep all bitsets valid); anything else is a
-        full re-pin.  See the module docstring.
+        When the only changes since the last operation are node additions
+        (which :func:`compile_graph` interns into the shared snapshot and
+        its store), the fresh nodes join the match sets in place: appended
+        indices keep all bitsets valid.  Anything else is a full re-pin.
+        See the module docstring.
         """
         graph = self.graph
         if graph.version == self._synced_version:
             return
-        compiled = self._compiled
-        new_nodes = [node for node in graph.nodes() if node not in compiled]
-        if new_nodes and graph.version - self._synced_version == len(new_nodes):
-            store = self._store
-            store_current = store.version == compiled.version
-            for node in new_nodes:
-                attrs = graph.attributes(node)
-                index = compiled.intern_node(node, attrs)
-                store.ensure_index(index)
+        compiled = compile_graph(graph)
+        added = compiled.num_nodes - self._synced_nodes
+        if (
+            compiled is self._compiled
+            and added
+            and graph.version - self._synced_version == added
+        ):
+            self._store = compiled.distance_store()
+            for index in range(self._synced_nodes, compiled.num_nodes):
+                attrs = compiled.attributes(index)
                 bit = 1 << index
                 for u in self.pattern.nodes():
                     if self.pattern.predicate(u).evaluate(attrs):
@@ -206,13 +214,7 @@ class IncrementalMatcher:
                             self._mat_bits[u] |= bit
                         else:
                             self._can_bits[u] |= bit
-            # Batched additions move the version by more than one patch
-            # step; the loop above replayed them all, so adopt the graph's
-            # version wholesale, and stamp the store that gained their rows.
-            compiled.version = graph.version
-            if store_current:
-                store.version = compiled.version
-            self._store = compiled.distance_store()
+            self._synced_nodes = compiled.num_nodes
         else:
             self._pin_snapshot()
         self._synced_version = graph.version

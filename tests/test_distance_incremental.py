@@ -15,11 +15,15 @@ from repro.distance.incremental import (
     update_store_delete,
     update_store_insert,
 )
-from repro.distance.matrix import DistanceMatrix
+from repro.distance.matrix import MAX_STORED_DISTANCE, DistanceMatrix
 from repro.distance.oracle import INF
-from repro.exceptions import DistanceOracleError
+from repro.exceptions import DistanceOracleError, DistanceOverflowError
 from repro.graph.compiled import compile_graph
+from repro.graph.datagraph import DataGraph
 from repro.graph.generators import random_data_graph
+from repro.graph.pattern import Pattern
+from repro.matching.bounded import match, naive_match
+from repro.matching.incremental import IncrementalMatcher
 
 
 def new_store(graph):
@@ -29,11 +33,7 @@ def new_store(graph):
 def decoded(store):
     """The store's finite entries keyed by node ids."""
     node_of = store.compiled.node_of
-    return {
-        (node_of(i), node_of(j)): dist
-        for i, row in enumerate(store.rows)
-        for j, dist in row.items()
-    }
+    return {(node_of(i), node_of(j)): dist for i, j, dist in store.finite_pairs()}
 
 
 def decoded_aff1(store, affected):
@@ -230,3 +230,87 @@ class TestVersionStamp:
         rebuilt = compiled.distance_store()
         assert rebuilt is not store
         assert decoded(rebuilt) == reference(chain_graph)
+
+
+def long_chain(length, *, shortcut=None):
+    """``c0 -> c1 -> ... -> c{length-1}``, ends labelled ``A``/``B``.
+
+    With *shortcut* ``k`` the extra edge ``c0 -> ck`` shortens every path
+    out of ``c0``.
+    """
+    graph = DataGraph(name="long-chain")
+    for index in range(length):
+        label = "A" if index == 0 else "B" if index == length - 1 else "X"
+        graph.add_node(f"c{index}", label=label)
+    for index in range(length - 1):
+        graph.add_edge(f"c{index}", f"c{index + 1}")
+    if shortcut is not None:
+        graph.add_edge("c0", f"c{shortcut}")
+    return graph
+
+
+class TestDistanceOverflow:
+    """Distances past the store's 254-hop cell limit raise, never truncate."""
+
+    def test_build_of_a_256_node_chain_raises(self):
+        graph = long_chain(256)  # dist(c0, c255) == 255
+        with pytest.raises(DistanceOverflowError):
+            build_store(compile_graph(graph))
+        with pytest.raises(DistanceOverflowError):
+            compile_graph(graph).distance_store()
+        with pytest.raises(DistanceOverflowError):
+            IncrementalMatcher(ends_pattern(None), graph)
+
+    def test_254_hops_fit(self):
+        store = new_store(long_chain(255))
+        assert store.distance(0, 254) == MAX_STORED_DISTANCE
+        assert store.distance(254, 0) == INF
+
+    def test_deletion_stretching_past_254_raises_and_unstamps(self):
+        graph = long_chain(256, shortcut=10)
+        compiled = compile_graph(graph)
+        store = compiled.distance_store()
+        assert store.distance(compiled.id_of("c0"), compiled.id_of("c255")) == 246
+        with pytest.raises(DistanceOverflowError):
+            update_store_delete(store, "c0", "c10")
+        assert not graph.has_edge("c0", "c10")
+        assert store.version != compiled.version
+        with pytest.raises(DistanceOverflowError):
+            compiled.distance_store()
+
+    def test_insertion_joining_two_chains_raises_and_unstamps(self):
+        graph = long_chain(130)
+        for index in range(130):
+            graph.add_node(f"d{index}", label="X")
+        for index in range(129):
+            graph.add_edge(f"d{index}", f"d{index + 1}")
+        compiled = compile_graph(graph)
+        store = compiled.distance_store()
+        with pytest.raises(DistanceOverflowError):
+            update_store_insert(store, "c129", "d0")  # dist(c0, d129) == 259
+        assert store.version != compiled.version
+        with pytest.raises(DistanceOverflowError):
+            compiled.distance_store()
+
+    def test_set_distance_rejects_a_long_distance(self, chain_graph):
+        store = new_store(chain_graph)
+        with pytest.raises(DistanceOverflowError):
+            store.set_distance(0, 4, MAX_STORED_DISTANCE + 1)
+        assert store.distance(0, 4) == 4
+
+    def test_match_still_answers_on_the_long_chain(self):
+        graph = long_chain(300)
+        expected = naive_match(ends_pattern(None), graph.copy())
+        assert set(expected.pairs()) == {("a", "c0"), ("b", "c299")}
+        assert match(ends_pattern(None), graph) == expected
+        assert match(ends_pattern(299), graph) == expected
+        assert match(ends_pattern(298), graph).is_empty
+
+
+def ends_pattern(bound):
+    """``a(A) -> b(B)`` within *bound* hops (``None``: unbounded)."""
+    pattern = Pattern()
+    pattern.add_node("a", "A")
+    pattern.add_node("b", "B")
+    pattern.add_edge("a", "b", bound)
+    return pattern

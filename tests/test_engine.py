@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.distance.bfs import BFSDistanceOracle
 from repro.distance.incremental import EdgeUpdate
+from repro.distance.oracle import INF
 from repro.engine import (
     STRATEGY_BOUNDED,
     STRATEGY_INCREMENTAL,
@@ -208,13 +209,13 @@ class TestMatchSession:
         assert session.store() is store  # cached while the snapshot stands
         compiled = session.snapshot
         a, d = compiled.id_of("a"), compiled.id_of("d")
-        assert store.rows[a][d] == 2  # a -> b -> d
+        assert store.distance(a, d) == 2  # a -> b -> d
         session.patch_edge_delete("b", "d")
         rebuilt = session.store()  # snapshot moved -> fresh store
         assert rebuilt is not store
-        assert rebuilt.rows[a][d] == 2  # a -> c -> d still holds
+        assert rebuilt.distance(a, d) == 2  # a -> c -> d still holds
         session.patch_edge_delete("c", "d")
-        assert d not in session.store().rows[a]
+        assert session.store().distance(a, d) == INF
 
     def test_patch_insert_requires_known_nodes(self, tiny_graph):
         session = MatchSession(tiny_graph)

@@ -53,11 +53,7 @@ from repro.matching.incremental import IncrementalMatcher
 def decoded(store):
     """The store's finite entries keyed by node ids."""
     node_of = store.compiled.node_of
-    return {
-        (node_of(i), node_of(j)): dist
-        for i, row in enumerate(store.rows)
-        for j, dist in row.items()
-    }
+    return {(node_of(i), node_of(j)): dist for i, j, dist in store.finite_pairs()}
 
 
 def reference(graph):
@@ -729,6 +725,30 @@ class TestSharedStoreBuilds:
         for matcher in (first, second):
             assert matcher.match == naive_match(matcher.pattern, graph.copy())
             assert decoded(matcher._store) == fresh_store_entries(graph)
+
+    def test_node_additions_between_round_robin_batches_build_no_store(self, builds):
+        """A node added out of band between two standing matchers' batches
+        is interned into the shared snapshot, whose store grows in place:
+        the matcher that is behind its sibling's batch re-pins onto the same
+        snapshot and store instead of a recompile plus ``build_store``."""
+        graph, patterns, session = self.standing_session(23)
+        snapshot = compile_graph(graph)
+        builds.clear()
+        rng = random.Random(23)
+        for round_index in range(6):
+            graph.add_node(f"late{round_index}", label=f"L{round_index % 4}")
+            pattern = patterns[round_index % 2]
+            result, _ = session.apply_updates(pattern, mixed_stream(graph, rng, 5))
+            assert result == naive_match(pattern, graph.copy())
+        for pattern in patterns:
+            matcher = session.incremental_matcher(pattern)
+            matcher.apply([])
+            assert matcher.match == naive_match(pattern, graph.copy())
+            assert matcher._compiled is snapshot
+            assert matcher._store is snapshot.distance_store()
+        assert compile_graph(graph) is snapshot
+        assert builds == []
+        assert decoded(snapshot.distance_store()) == fresh_store_entries(graph)
 
     def test_two_matchers_on_one_graph_build_one_store(self, builds):
         graph = random_data_graph(20, 45, num_labels=3, seed=8)

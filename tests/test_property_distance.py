@@ -31,11 +31,7 @@ SETTINGS = settings(
 def decoded(store):
     """The store's finite entries keyed by node ids."""
     node_of = store.compiled.node_of
-    return {
-        (node_of(i), node_of(j)): dist
-        for i, row in enumerate(store.rows)
-        for j, dist in row.items()
-    }
+    return {(node_of(i), node_of(j)): dist for i, j, dist in store.finite_pairs()}
 
 
 def reference(graph):

@@ -15,7 +15,7 @@ from repro.distance.matrix import InternedDistanceStore
 from repro.distance.oracle import BoundedBitsCache
 from repro.engine import MatchSession
 from repro.engine.cache import ResultCache
-from repro.graph.compiled import compile_graph
+from repro.graph.compiled import CompiledGraph, compile_graph
 from repro.graph.generators import random_data_graph
 from repro.graph.pattern_generator import PatternGenerator
 from repro.matching.match_result import MatchResult
@@ -224,9 +224,12 @@ class TestStoreAdoptionHook:
             sanitize.store_adopted(other, store)
 
     def test_missing_rows_are_flagged(self, graph):
-        compiled = compile_graph(graph)
+        compiled = CompiledGraph.from_graph(graph)
         store = compiled.distance_store()
-        store.rows.pop()
+        # Interned into the snapshot without growing the store, which is
+        # still stamped current: the late node has no row.
+        compiled.intern_node("late", {"label": "L0"})
+        assert store.version == compiled.version == graph.version
         with pytest.raises(SanitizeError):
             sanitize.store_adopted(compiled, store)
 
@@ -253,8 +256,9 @@ class TestInternedStoreMemo:
         store.descendants_within_bits(compiled, 0, 2)
         assert len(store._bits_memo)
         compiled.version += 1
-        store.rows[0][5] = 1
-        store.cols[5][0] = 1
+        # A raw cell write (``dist(0, 5) = 1``): unlike ``set_distance`` it
+        # does not drop the memo, so only the version skew can.
+        store.flat[0 * store.num_nodes + 5] = 1
         bits = store.descendants_within_bits(compiled, 0, 2)
         assert bits & (1 << 5)
         assert store._memo_version == compiled.version

@@ -21,10 +21,10 @@ scale where it means something — 100k nodes — in
 is pure overhead, which is exactly why the pool is never auto-started for
 workloads this small.
 
-A third measurement guards the reliability layer's "free when off"
-contract: every fault point in the engine is a ``_faults.ENABLED``
-attribute load behind a short-circuiting ``and``, and the disarmed cost of
-all checks a batch performs must stay within 2% of the batch itself.
+A third measurement guards the fault harness's "free when off" contract:
+every fault point sits in the worker pool's task loop behind a
+``_faults.ENABLED`` attribute load, and the disarmed cost of all checks a
+batch's tasks pass must stay within 2% of the batch itself.
 
 All ratios land in ``BENCH_engine.json`` at the repo root (see
 ``benchmarks/README.md`` for the schema) and in pytest-benchmark's
@@ -34,6 +34,7 @@ All ratios land in ``BENCH_engine.json`` at the repo root (see
 from __future__ import annotations
 
 import json
+import queue
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,7 @@ import pytest
 from conftest import best_of
 
 from repro.engine import MatchSession
+from repro.engine.parallel import _serve
 from repro.graph.generators import random_data_graph
 from repro.matching.bounded import match
 from repro.reliability import faults
@@ -147,13 +149,15 @@ def test_bench_match_many_cold_vs_match_loop(benchmark, setup):
 def test_bench_disarmed_fault_hooks_overhead(benchmark, setup):
     """Gate: disarmed fault points cost <= 2% of a cold batch.
 
-    Disarmed, each fault point is ``if _faults.ENABLED and ...`` — the
-    ``and`` never evaluates its right side, so the cost is one module
-    attribute load plus a branch.  The overhead is reconstructed rather
-    than differenced (the hooks can't be compiled out to measure against):
-    arm a rate-0 probe plan to *count* how many checks a batch actually
-    reaches, micro-time the disarmed guard, and bound their product
-    against the batch time.
+    Disarmed, each fault point is behind ``if _faults.ENABLED`` — the
+    fire check never runs, so the cost is one module attribute load plus a
+    branch.  The overhead is reconstructed rather than differenced (the
+    hooks can't be compiled out to measure against): arm a rate-0 probe
+    plan to *count* how many checks the batch's tasks reach in the worker
+    loop, micro-time the disarmed guard, and bound their product against
+    the batch time.  The count runs the worker loop in this process over
+    in-process queues, because a forked worker's counters never reach the
+    parent.
     """
     graph, patterns = setup
     faults.disarm()
@@ -165,11 +169,17 @@ def test_bench_disarmed_fault_hooks_overhead(benchmark, setup):
     batch_s = best_of(cold_run, repeats=3)
 
     # Rate 0 fires nothing but tallies every should_fire() call, i.e.
-    # every guard site the workload executes.
+    # every guard site the batch's tasks pass through in a worker.
     probe = ",".join(f"{point}@0" for point in sorted(FAULT_POINTS))
     faults.arm(FaultPlan.parse(probe, seed=1))
     try:
-        cold_run()
+        session = MatchSession(graph)
+        tasks, answers = queue.SimpleQueue(), queue.SimpleQueue()
+        for task_id, pattern in enumerate(patterns):
+            unit = (pattern, session.plan(pattern))
+            tasks.put((task_id, session.snapshot.version, unit))
+        tasks.put(None)
+        _serve(session, tasks, answers, 0)
         checks = faults.evaluations()
     finally:
         faults.disarm()
@@ -178,7 +188,7 @@ def test_bench_disarmed_fault_hooks_overhead(benchmark, setup):
 
     def guard_loop():
         for _ in range(iterations):
-            if faults.ENABLED and faults.should_fire("cache.pressure"):
+            if faults.ENABLED and faults.should_fire("queue.stall"):
                 pass  # pragma: no cover - unreachable while disarmed
 
     # Loop bookkeeping is part of the measurement; the bound is conservative.

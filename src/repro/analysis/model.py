@@ -37,7 +37,7 @@ MEMO_CONSTRUCTORS = frozenset({"BoundedBitsCache"})
 #: ``self.<attr>`` names that are memos regardless of how they were built
 #: (plain dicts reused across calls on snapshot-derived data).
 ALWAYS_MEMO_ATTRS = frozenset(
-    {"_bits_lru", "_rows_lru", "_bits_memo", "_edge_memo", "_self_loop_cache"}
+    {"_bits_lru", "_rows_lru", "_edge_memo", "_self_loop_cache"}
 )
 
 #: Parameter names that carry a caller-owned memo into a function.
@@ -53,7 +53,6 @@ VERSION_ATTR_NAMES = frozenset(
         "_tuples_version",
         "_self_loop_version",
         "_bits_cache_version",
-        "_memo_version",
         "_pinned_version",
         "expected_version",
     }

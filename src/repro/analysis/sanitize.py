@@ -191,7 +191,7 @@ def primed_ball(ball, num_nodes: int) -> None:
 # worker-pool handshake
 # ----------------------------------------------------------------------
 
-_RESULT_STATUSES = frozenset({"ok", "stale", "error", "ack", "fault", "malformed"})
+_RESULT_STATUSES = frozenset({"ok", "stale", "error", "ack"})
 
 
 def pool_task(task) -> None:

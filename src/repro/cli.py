@@ -85,6 +85,7 @@ from repro.distance.bfs import BFSDistanceOracle
 from repro.distance.compiled import CompiledDistanceMatrix
 from repro.distance.matrix import DistanceMatrix
 from repro.distance.twohop import TwoHopOracle
+from repro.exceptions import SerializationError
 from repro.experiments import ALL_EXPERIMENTS, run_experiment
 from repro.graph.generators import random_data_graph, scale_free_graph, small_world_graph
 from repro.graph.io import load_graph_json, load_pattern_json, save_graph_json
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan",
         default=None,
         metavar="SPECS",
-        help="fault plan, e.g. 'worker.crash@0.1#2,snapshot.skew' "
+        help="fault plan, e.g. 'worker.crash@0.1#2,queue.stall' "
         "(default: the mixed chaos schedule)",
     )
     chaos_parser.add_argument(
@@ -609,31 +610,15 @@ def _command_chaos(args: argparse.Namespace) -> int:
             verdict = (
                 "ok" if report.survived else f"{len(report.mismatches)} MISMATCH(ES)"
             )
-            fired = (
-                ", ".join(
-                    f"{point} x{count}"
-                    for point, count in sorted(report.injections.items())
-                )
-                or "none"
-            )
-            notes = report.reliability["worker_fault_notes"]
-            worker_fired = (
-                ", ".join(
-                    f"{point} x{count}" for point, count in sorted(notes.items())
-                )
-                or "none"
-            )
             print(
                 f"seed {report.seed}: {verdict} "
                 f"({report.rounds} round(s) x {report.queries} query(ies))"
             )
-            print(f"  parent injections: {fired}")
-            print(f"  worker injections: {worker_fired}")
             print(
                 "  recovery: "
                 f"{report.reliability['worker_crashes']} crash(es), "
                 f"{report.reliability['deadline_kills']} deadline kill(s), "
-                f"{report.reliability['retries']} retry(ies), "
+                f"{report.reliability['lost_tasks']} stuck-queue task(s), "
                 f"{report.pool['serial_fallbacks']} serial fallback(s)"
             )
         print(
@@ -659,7 +644,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except SerializationError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

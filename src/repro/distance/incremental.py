@@ -243,7 +243,6 @@ def update_store_insert(
     version_before = compiled.version
     graph.add_edge(source, target)
     compiled.patch_edge_insert(source, target)
-    store.clear_memo()
     affected = _relax_store_insert(store, si, ti)
     _stamp_repaired(store, version_before)
     return affected
@@ -314,7 +313,6 @@ def update_store_delete(
     version_before = compiled.version
     graph.remove_edge(source, target)
     compiled.patch_edge_delete(source, target)
-    store.clear_memo()
 
     affected: InternedAffectedPairs = {}
     n = store.num_nodes

@@ -335,21 +335,13 @@ class InternedDistanceStore:
     :attr:`version` stamps the snapshot version the distances reflect.
     """
 
-    __slots__ = ("compiled", "num_nodes", "flat", "version", "_bits_memo", "_memo_version")
+    __slots__ = ("compiled", "num_nodes", "flat", "version")
 
     def __init__(self, compiled: "CompiledGraph") -> None:
         self.compiled = compiled
         self.num_nodes = compiled.num_nodes
         self.flat = _blank_cells(self.num_nodes)
         self.version = compiled.version
-        # Memoised reachability bitsets keyed by (index, bound, forward?);
-        # valid between repairs.  Entries are pinned to the snapshot version
-        # they were computed against: every edge patch bumps
-        # ``compiled.version`` before the repair loop runs, so the read path
-        # drops the memo on version skew even if a caller forgets
-        # :meth:`clear_memo`.  Size-capped like every oracle memo.
-        self._bits_memo = BoundedBitsCache()
-        self._memo_version = compiled.version
 
     @classmethod
     def from_matrix(
@@ -389,10 +381,6 @@ class InternedDistanceStore:
     def set_distance(self, source: int, target: int, value: float) -> None:
         """Set ``dist(source, target)``; :data:`INF` marks the pair unreachable."""
         self.flat[source * self.num_nodes + target] = _to_cell(value)
-        # Direct distance edits happen outside the patch protocol (no
-        # version bump), so the memo must be dropped eagerly here.
-        if len(self._bits_memo):
-            self._bits_memo.clear()
 
     def row(self, source: int) -> bytearray:
         """A copy of the cells ``dist(source, *)``."""
@@ -409,19 +397,6 @@ class InternedDistanceStore:
             for target, cell in enumerate(self.row(source)):
                 if cell != INF_CELL:
                     yield source, target, cell
-
-    def clear_memo(self) -> None:
-        """Drop the memoised reachability bitsets (call after repairs)."""
-        if len(self._bits_memo):
-            self._bits_memo.clear()
-        self._memo_version = self.compiled.version
-
-    def _memo_sync(self) -> None:
-        """Invalidate the memo if the snapshot moved since it was filled."""
-        if self._memo_version != self.compiled.version:
-            if len(self._bits_memo):
-                self._bits_memo.clear()
-            self._memo_version = self.compiled.version
 
     # ------------------------------------------------------------------
     # bitset reachability (nonempty-path semantics, as the matching needs)
@@ -440,33 +415,23 @@ class InternedDistanceStore:
     def descendants_within_bits(
         self, compiled: "CompiledGraph", source: int, bound: Optional[int]
     ) -> int:
-        """Bitset of nodes reachable from *source* within *bound* (memoised).
+        """Bitset of nodes reachable from *source* within *bound*.
 
         Takes the snapshot positionally to satisfy the
         :class:`~repro.distance.oracle.DistanceOracle` bitset signature, so
         the store can stand in as the oracle of
         :func:`~repro.matching.bounded.refine_bits_to_fixpoint`.
         """
-        self._memo_sync()
-        key = (source, bound, True)
-        bits = self._bits_memo.get(key)
-        if bits is None:
-            bits = _encode_within(self.row(source), bound)
-            if self._on_cycle_within(source, bound):
-                bits |= 1 << source
-            self._bits_memo.put(key, bits)
+        bits = _encode_within(self.row(source), bound)
+        if self._on_cycle_within(source, bound):
+            bits |= 1 << source
         return bits
 
     def ancestors_within_bits(
         self, compiled: "CompiledGraph", target: int, bound: Optional[int]
     ) -> int:
-        """Bitset of nodes reaching *target* within *bound* (memoised)."""
-        self._memo_sync()
-        key = (target, bound, False)
-        bits = self._bits_memo.get(key)
-        if bits is None:
-            bits = _encode_within(self.column(target), bound)
-            if self._on_cycle_within(target, bound):
-                bits |= 1 << target
-            self._bits_memo.put(key, bits)
+        """Bitset of nodes reaching *target* within *bound*."""
+        bits = _encode_within(self.column(target), bound)
+        if self._on_cycle_within(target, bound):
+            bits |= 1 << target
         return bits

@@ -19,7 +19,6 @@ from typing import Optional, Tuple
 from repro.analysis import sanitize as _sanitize
 from repro.exceptions import EngineError
 from repro.matching.match_result import MatchResult
-from repro.reliability import faults as _faults
 
 __all__ = ["ResultCache", "DEFAULT_RESULT_CACHE_SIZE"]
 
@@ -35,7 +34,7 @@ CacheKey = Tuple[str, int, str]
 class ResultCache:
     """A size-capped LRU of :class:`MatchResult` values with hit/miss stats."""
 
-    __slots__ = ("max_entries", "hits", "misses", "evictions", "pressure_sheds", "_data")
+    __slots__ = ("max_entries", "hits", "misses", "evictions", "_data")
 
     def __init__(self, max_entries: Optional[int] = DEFAULT_RESULT_CACHE_SIZE) -> None:
         if max_entries is not None and max_entries < 1:
@@ -44,7 +43,6 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.pressure_sheds = 0
         self._data: "OrderedDict[CacheKey, MatchResult]" = OrderedDict()
 
     def get(self, key: CacheKey) -> Optional[MatchResult]:
@@ -62,32 +60,12 @@ class ResultCache:
         """Cache *result* under *key*, evicting the oldest entry past the cap."""
         if _sanitize.ENABLED:
             _sanitize.result_cache_put(key, result)
-        if _faults.ENABLED and _faults.should_fire("cache.pressure"):
-            self.shed()
         data = self._data
         data[key] = result
         data.move_to_end(key)
         if self.max_entries is not None and len(data) > self.max_entries:
             data.popitem(last=False)
             self.evictions += 1
-
-    def shed(self) -> int:
-        """Memory-pressure response: evict the oldest half of the entries.
-
-        Called when the process is under memory pressure (today: only the
-        ``cache.pressure`` fault point; a real pressure signal can reuse
-        it).  Shedding is always safe — the cache is a pure accelerator —
-        and is counted separately so chaos runs can assert the signal both
-        fired and cost nothing but recomputes.
-        """
-        data = self._data
-        drop = max(1, len(data) // 2) if data else 0
-        for _ in range(drop):
-            data.popitem(last=False)
-        self.evictions += drop
-        if drop:
-            self.pressure_sheds += 1
-        return drop
 
     def evict_stale(self, current_version: int) -> int:
         """Drop every entry keyed to a snapshot version other than *current_version*.

@@ -19,31 +19,29 @@ a :class:`~repro.engine.session.MatchSession` owns for its lifetime:
   transparently recomputes those units serially and re-pins the pool
   (one respawn, counted in :meth:`WorkerPool.stats`) before its next batch.
 
-Failure semantics (the resilient-execution layer)
--------------------------------------------------
-Workers acknowledge every task before executing it, which lets the parent
-attribute work to processes and run **per-task deadlines**:
+Failure semantics
+-----------------
+One rule covers every failure: a task the pool fails to answer is never
+sent again — its slot stays empty and the parent computes it serially at
+the end of the batch, so a pooled batch always returns exactly what serial
+execution returns.  Workers acknowledge every task before executing it,
+which lets the parent attribute work to processes and run **per-task
+deadlines**.  A task is given up when
 
-* a worker that *dies* (crash, OOM-kill) is detected by liveness checks;
-  its in-flight task is re-dispatched and a replacement worker is respawned
-  mid-batch;
-* a worker that *hangs* (stuck syscall, SIGSTOP, runaway loop) blows its
-  task's deadline; the parent **kills and replaces** it (quarantine) so one
+* its worker *dies* (crash, OOM-kill): liveness checks notice, and a
+  replacement worker is respawned mid-batch;
+* its worker *hangs* (stuck syscall, SIGSTOP, runaway loop) past the task's
+  deadline: the parent SIGKILLs and replaces it (quarantine), so one
   unresponsive process never stalls the rest of the batch;
-* lost or failed tasks are retried with bounded **exponential backoff +
-  jitter** (:class:`~repro.reliability.resilience.RetryPolicy`); exhausted
-  tasks fall back to serial execution in the parent, so no caller ever
-  sees a crash;
-* a :class:`~repro.reliability.resilience.BatchBudget` caps one batch's
-  wall clock: when it expires the pool stops waiting and reports partial
-  results instead of hanging (the session raises
-  :class:`~repro.exceptions.PartialBatchError`).
+* nobody acknowledges it before its deadline and no worker has answered
+  anything for a whole deadline: the queue itself is stuck, so the parent
+  kills every worker and finishes the batch serially;
+* its worker answers ``error``.
 
-Every failure path is instrumented with the named fault points of
+The failures a forked process can really have are named fault points of
 :mod:`repro.reliability.faults` (``worker.crash``, ``worker.hang``,
-``queue.stall``, ``result.corrupt``, ``task.corrupt``, ``snapshot.skew``),
-so the chaos suite can fire each one deterministically and assert results
-stay byte-identical to serial execution.
+``queue.stall``), so the chaos suite can fire each one deterministically
+and assert results stay identical to serial execution.
 
 The snapshot is strictly read-only for the workers: anything a worker
 materialises lives in its own copy-on-write memory and is never written
@@ -61,19 +59,18 @@ import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import sanitize as _sanitize
-from repro.matching.match_result import MatchResult
 from repro.reliability import faults as _faults
-from repro.reliability.resilience import BatchBudget, RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.planner import QueryPlan
     from repro.engine.session import MatchSession
     from repro.graph.pattern import Pattern
+    from repro.matching.match_result import MatchResult
 
 __all__ = ["fork_available", "WorkerPool", "DEFAULT_TASK_TIMEOUT"]
 
 #: Seconds a dispatched task may run (queue wait, then execution after its
-#: ack) before the parent declares its worker hung and re-dispatches.
+#: ack) before the parent gives it up and computes it serially.
 DEFAULT_TASK_TIMEOUT = 60.0
 
 #: Ceiling on one blocking ``get`` on the result queue, so deadline sweeps
@@ -102,9 +99,9 @@ def _serve(session: "MatchSession", tasks, results, worker_id: int) -> None:
     the loop.
 
     Every task is acknowledged (``ack``) before execution so the parent can
-    attribute in-flight work to this process; worker-side fault points
-    (crash/hang/stall/corrupt) fire between the ack and the answer, exactly
-    where the real failures they model would strike.
+    attribute in-flight work to this process; the worker-side fault points
+    (crash/hang/stall) fire between the ack and the answer, exactly where
+    the real failures they model would strike.
     """
     while True:
         task = tasks.get()
@@ -112,17 +109,7 @@ def _serve(session: "MatchSession", tasks, results, worker_id: int) -> None:
             break
         if _sanitize.ENABLED:
             _sanitize.pool_task(task)
-        try:
-            task_id, expected_version, (pattern, plan) = task
-        except (TypeError, ValueError):
-            # A corrupted task cannot be answered by id; report it and move
-            # on — the parent's per-task deadline re-dispatches the lost
-            # unit.
-            try:
-                results.put((worker_id, -1, "malformed", None))
-                continue
-            except Exception:  # pragma: no cover - result queue gone
-                break
+        task_id, expected_version, (pattern, plan) = task
         try:
             results.put((worker_id, task_id, "ack", None))
         except Exception:  # pragma: no cover - result queue gone
@@ -131,26 +118,16 @@ def _serve(session: "MatchSession", tasks, results, worker_id: int) -> None:
             if _faults.should_fire("worker.crash"):
                 os.kill(os.getpid(), signal.SIGKILL)
             if _faults.should_fire("worker.hang"):
-                try:
-                    results.put((worker_id, task_id, "fault", "worker.hang"))
-                except Exception:  # pragma: no cover - result queue gone
-                    pass
                 time.sleep(_faults.arg("worker.hang", 60.0))
         try:
             if session._compiled.version != expected_version:
                 results.put((worker_id, task_id, "stale", None))
                 continue
             answer = session._execute(pattern, plan)
-            if _faults.ENABLED:
-                if _faults.should_fire("queue.stall"):
-                    # Simulated result-queue stall: the answer is computed
-                    # but never delivered.  The parent's deadline fires.
-                    results.put((worker_id, task_id, "fault", "queue.stall"))
-                    continue
-                if _faults.should_fire("result.corrupt"):
-                    results.put((worker_id, task_id, "fault", "result.corrupt"))
-                    results.put((worker_id, task_id, "ok", _faults.CORRUPT))
-                    continue
+            if _faults.ENABLED and _faults.should_fire("queue.stall"):
+                # Simulated result-queue stall: the answer is computed but
+                # never delivered.  The parent's deadline fires.
+                continue
             results.put((worker_id, task_id, "ok", answer))
         except Exception as exc:  # noqa: BLE001 - reported to the parent
             try:
@@ -203,17 +180,15 @@ def _reap(processes: List, task_queue) -> None:
 
 
 class _PendingTask:
-    """Parent-side record of one dispatched (or retry-dormant) task."""
+    """Parent-side record of one dispatched task."""
 
-    __slots__ = ("slot", "payload", "attempts", "deadline", "owner", "not_before")
+    __slots__ = ("slot", "payload", "deadline", "owner")
 
     def __init__(self, slot: int, payload: Tuple["Pattern", "QueryPlan"]) -> None:
         self.slot = slot
         self.payload = payload
-        self.attempts = 0
         self.deadline = 0.0
         self.owner: Optional[int] = None  # worker id after the ack
-        self.not_before: Optional[float] = None  # backoff gate while dormant
 
 
 class WorkerPool:
@@ -232,25 +207,20 @@ class WorkerPool:
         *,
         max_workers: Optional[int] = None,
         task_timeout: float = DEFAULT_TASK_TIMEOUT,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         if task_timeout <= 0:
             raise ValueError(f"task_timeout must be positive, got {task_timeout}")
         self._session = session
         self._max_workers = max_workers
         self._task_timeout = task_timeout
-        self._retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._processes: List = []
         self._task_queue = None
         self._result_queue = None
         self._pinned_version: Optional[int] = None
         self._next_task_id = 0
+        self._last_heard = 0.0  # when the collect loop last received anything
         self._broken = False
         self._finalizer = None
-        #: ``False`` when the last ``run_units`` batch needed any failure
-        #: handling (broken pool, serial fallback, exhausted retries) — the
-        #: signal the session's circuit breaker consumes.
-        self.last_batch_clean = True
         # observability
         self._workers_spawned = 0
         self._repin_count = 0
@@ -260,17 +230,11 @@ class WorkerPool:
         self._serial_fallbacks = 0
         self._stale_tasks = 0
         # reliability counters
-        self._retries = 0
         self._deadline_kills = 0
         self._quarantined = 0
         self._respawns = 0
-        self._corrupt_results = 0
-        self._malformed_tasks = 0
         self._worker_errors = 0
         self._lost_tasks = 0
-        self._exhausted_tasks = 0
-        self._budget_stops = 0
-        self._fault_notes: Dict[str, int] = {}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -422,45 +386,18 @@ class WorkerPool:
         # pool's pin: a snapshot patched after the workers were spawned must
         # make them answer ``stale``, never silently serve the old graph.
         expected_version = self._session._compiled.version
-        wire = (task_id, expected_version, task.payload)
-        if _faults.ENABLED:
-            if _faults.should_fire("snapshot.skew"):
-                # Simulated mid-batch snapshot skew: the task claims a
-                # version the workers cannot hold, so it comes back stale.
-                wire = (task_id, expected_version + 1, task.payload)
-            if _faults.should_fire("task.corrupt"):
-                # Simulated wire corruption: the worker receives garbage and
-                # the real unit is lost until the deadline re-dispatches it.
-                self._task_queue.put((_faults.CORRUPT,))
-                task.attempts += 1
-                task.owner = None
-                task.not_before = None
-                task.deadline = time.monotonic() + self._task_timeout
-                return task_id
-        self._task_queue.put(wire)
-        task.attempts += 1
-        task.owner = None
-        task.not_before = None
+        self._task_queue.put((task_id, expected_version, task.payload))
         task.deadline = time.monotonic() + self._task_timeout
         return task_id
 
-    def _retry_or_fail(
-        self, task_id: int, task: _PendingTask, pending: Dict[int, _PendingTask], now: float
-    ) -> None:
-        """Schedule a backoff retry for *task*, or give it up to the fallback."""
-        pending.pop(task_id, None)
-        if task.attempts <= self._retry_policy.max_retries:
-            self._retries += 1
-            task.owner = None
-            task.not_before = now + self._retry_policy.backoff(task.attempts - 1)
-            # Dormant tasks wait under their old id; the sweep re-dispatches
-            # them (under a fresh id) once the backoff gate opens.
-            pending[task_id] = task
-        else:
-            self._exhausted_tasks += 1
+    @staticmethod
+    def _give_up_owned(worker_id: int, pending: Dict[int, _PendingTask]) -> None:
+        """Drop every task *worker_id* acknowledged; the parent runs them."""
+        for task_id in [t for t, task in pending.items() if task.owner == worker_id]:
+            del pending[task_id]
 
-    def _check_liveness(self, pending: Dict[int, _PendingTask], now: float) -> bool:
-        """Detect dead workers, respawn them, re-deadline their orphans.
+    def _check_liveness(self, pending: Dict[int, _PendingTask]) -> bool:
+        """Detect dead workers, give up their tasks, respawn them.
 
         Returns ``False`` when no worker could be kept alive (pool broken).
         """
@@ -471,12 +408,7 @@ class WorkerPool:
                 continue
             process.join(timeout=0)  # reap the zombie
             self._worker_crashes += 1
-            # The crashed worker's acked tasks will never answer; pull their
-            # deadlines in so the sweep re-dispatches them immediately.
-            for task in pending.values():
-                if task.owner == worker_id and task.not_before is None:
-                    task.deadline = min(task.deadline, now)
-                    task.owner = None
+            self._give_up_owned(worker_id, pending)
             if self._respawn_worker(worker_id):
                 any_alive = True
         if not any_alive:
@@ -484,181 +416,105 @@ class WorkerPool:
         return any_alive
 
     def _sweep_deadlines(self, pending: Dict[int, _PendingTask], now: float) -> bool:
-        """Re-dispatch due retries; kill owners of expired tasks.
+        """Give up expired tasks, quarantining the hung workers that own them.
 
-        Returns ``False`` when the pool stopped making progress entirely
-        (every retry path exhausted without an ack — e.g. all workers
-        SIGSTOP'd): the caller breaks the pool and falls back serially.
+        An expired task nobody acknowledged is waiting behind busy (or just
+        replaced) workers while the pool still answers; it gets a fresh
+        deadline.  Returns ``False`` once the pool has been silent for a
+        whole deadline with such a task queued: the queue (or every worker)
+        is stuck, and the caller breaks the pool.
         """
         for task_id, task in list(pending.items()):
-            if task.not_before is not None:
-                if now >= task.not_before:
-                    pending.pop(task_id, None)
-                    pending[self._dispatch(task)] = task
+            if task_id not in pending or now <= task.deadline:
                 continue
-            if now <= task.deadline:
-                continue
-            # Expired.  Attribute it: a live owner is hung — quarantine it.
             if task.owner is not None:
                 self._deadline_kills += 1
+                self._give_up_owned(task.owner, pending)
                 self._quarantine_worker(task.owner)
-            else:
+                self._last_heard = now  # a fresh worker can take the queue
+            elif now - self._last_heard >= self._task_timeout:
                 self._lost_tasks += 1
-                if task.attempts > self._retry_policy.max_retries:
-                    # Never acked and out of retries: the queue (or every
-                    # worker) is stalled; stop feeding it.
-                    return False
-            self._retry_or_fail(task_id, task, pending, now)
+                return False
+            else:
+                task.deadline = self._last_heard + self._task_timeout
         return True
 
     def _next_wakeup(self, pending: Dict[int, _PendingTask], now: float) -> float:
-        """Blocking-get timeout until the nearest deadline/backoff event."""
-        horizon = now + _MAX_POLL
-        for task in pending.values():
-            event = task.not_before if task.not_before is not None else task.deadline
-            if event < horizon:
-                horizon = event
+        """Blocking-get timeout until the nearest task deadline."""
+        horizon = min(
+            [now + _MAX_POLL] + [task.deadline for task in pending.values()]
+        )
         return max(0.005, horizon - now)
 
     def _collect(
-        self,
-        pending: Dict[int, _PendingTask],
-        sink: List[Optional[object]],
-        budget: Optional[BatchBudget] = None,
+        self, pending: Dict[int, _PendingTask], sink: List[Optional["MatchResult"]]
     ) -> bool:
         """Drain results for *pending* into *sink* (indexed by task slot).
 
-        Runs the full resilience loop: acks arm per-task deadlines, expired
-        deadlines kill hung owners and re-dispatch with backoff, dead
-        workers are respawned mid-batch, corrupted payloads are rejected
-        and retried.  Returns ``False`` when the pool broke or the *budget*
-        expired; whatever completed is already in *sink* and the rest stays
-        ``None`` for the caller (serial fallback, or a partial-batch
-        report).  ``stale`` answers leave their slot ``None`` without
-        breaking the pool.
+        Acks arm per-task deadlines; expired deadlines quarantine hung
+        owners, dead workers are respawned mid-batch, and every task given
+        up (or answered ``stale``/``error``) leaves its slot ``None`` for
+        the caller's serial pass.  Returns ``False`` when the pool broke.
         """
+        self._last_heard = time.monotonic()
         while pending:
-            if budget is not None and budget.expired():
-                self._budget_stops += 1
-                return False
             now = time.monotonic()
-            timeout = self._next_wakeup(pending, now)
-            if budget is not None:
-                remaining = budget.remaining()
-                if remaining is not None:
-                    timeout = min(timeout, max(0.005, remaining))
-            item = None
             try:
-                item = self._result_queue.get(timeout=timeout)
+                item = self._result_queue.get(timeout=self._next_wakeup(pending, now))
             except queue_module.Empty:
-                pass
-            except _sanitize.SanitizeError:
-                raise
+                item = None
             except Exception:  # pragma: no cover - queue torn down under us
                 self._broken = True
                 return False
-            now = time.monotonic()
-            if item is not None:
-                if _sanitize.ENABLED:
-                    # A malformed tuple is an engine invariant violation:
-                    # raise it out of the retry loop, never swallow it.
-                    _sanitize.pool_result(item)
-                try:
-                    worker_id, task_id, status, payload = item
-                except (TypeError, ValueError):
-                    self._corrupt_results += 1
-                    continue
-                if status == "ack":
-                    task = pending.get(task_id)
-                    if task is not None and task.not_before is None:
-                        task.owner = worker_id
-                        task.deadline = now + self._task_timeout
-                    continue
-                if status == "fault":
-                    self._note_fault(payload)
-                    continue
-                if status == "malformed":
-                    self._malformed_tasks += 1
-                    continue
-                task = pending.get(task_id)
-                if task is None or task.not_before is not None:
-                    # Unknown id, or a dormant retry answered late by its
-                    # original worker: accept the late answer if it is one.
-                    # Parent-side shape check: corrupted results must not
-                    # reach callers.
-                    if (
-                        task is not None
-                        and status == "ok"
-                        and isinstance(payload, MatchResult)
-                    ):
-                        pending.pop(task_id, None)
-                        sink[task.slot] = payload
-                    continue
-                if status == "ok":
-                    if isinstance(payload, MatchResult):
-                        pending.pop(task_id, None)
-                        sink[task.slot] = payload
-                        self._per_worker_executed[worker_id] = (
-                            self._per_worker_executed.get(worker_id, 0) + 1
-                        )
-                    else:
-                        self._corrupt_results += 1
-                        self._retry_or_fail(task_id, task, pending, now)
-                elif status == "stale":
-                    self._stale_tasks += 1
-                    pending.pop(task_id, None)
-                elif status == "error":
-                    self._worker_errors += 1
-                    self._retry_or_fail(task_id, task, pending, now)
+            if item is None:
+                # Nothing arrived inside the window: liveness + deadline sweep.
+                if not self._check_liveness(pending):
+                    return False
+                if not self._sweep_deadlines(pending, time.monotonic()):
+                    self._broken = True
+                    for process in self._processes:
+                        if process.is_alive():
+                            process.kill()
+                            process.join(timeout=1.0)
+                            self._quarantined += 1
+                    return False
                 continue
-            # Nothing arrived inside the window: liveness + deadline sweep.
-            if not self._check_liveness(pending, now):
-                return False
-            if not self._sweep_deadlines(pending, now):
-                self._broken = True
-                for worker_id in range(len(self._processes)):
-                    process = self._processes[worker_id]
-                    if process.is_alive():
-                        process.kill()
-                        process.join(timeout=1.0)
-                        self._quarantined += 1
-                return False
-        # Every task is answered; read the fault notes still queued and reap
-        # exited workers, so the batch's counters see every failure.
-        while True:
-            try:
-                item = self._result_queue.get_nowait()
-            except queue_module.Empty:
-                break
-            except Exception:  # pragma: no cover - queue torn down under us
-                self._broken = True
-                return False
+            self._last_heard = time.monotonic()
             if _sanitize.ENABLED:
+                # A malformed tuple is an engine invariant violation: raise
+                # it out of the collect loop, never swallow it.
                 _sanitize.pool_result(item)
-            if isinstance(item, tuple) and len(item) == 4 and item[2] == "fault":
-                self._note_fault(item[3])
-        return self._check_liveness(pending, time.monotonic())
-
-    def _note_fault(self, payload) -> None:
-        if isinstance(payload, str):
-            self._fault_notes[payload] = self._fault_notes.get(payload, 0) + 1
+            worker_id, task_id, status, payload = item
+            task = pending.get(task_id)
+            if task is None:
+                continue  # a late answer for a task already given up
+            if status == "ack":
+                task.owner = worker_id
+                task.deadline = self._last_heard + self._task_timeout
+                continue
+            del pending[task_id]
+            if status == "ok":
+                sink[task.slot] = payload
+                self._per_worker_executed[worker_id] = (
+                    self._per_worker_executed.get(worker_id, 0) + 1
+                )
+            elif status == "stale":
+                self._stale_tasks += 1
+            else:
+                self._worker_errors += 1
+        # Every task is settled; reap workers that exited meanwhile.
+        return self._check_liveness(pending)
 
     def run_units(
-        self,
-        units: Sequence[Tuple["Pattern", "QueryPlan"]],
-        *,
-        budget: Optional[BatchBudget] = None,
-    ) -> List[Optional[MatchResult]]:
+        self, units: Sequence[Tuple["Pattern", "QueryPlan"]]
+    ) -> List["MatchResult"]:
         """Execute the planned *units*, in order, with serial safety net.
 
         Every unit is answered: pooled when possible, serially in the
-        parent for anything the pool could not deliver (pool down, stale
-        version, worker crash/hang, exhausted retries).  With a *budget*,
-        slots still unanswered at expiry stay ``None`` — the session turns
-        those into a :class:`~repro.exceptions.PartialBatchError` instead
-        of burning past the deadline.
+        parent for anything the pool did not deliver (pool down, stale
+        version, worker crash/hang/error, stuck queue).
         """
-        results: List[Optional[MatchResult]] = [None] * len(units)
+        results: List[Optional["MatchResult"]] = [None] * len(units)
         if units and self.ensure():
             pending: Dict[int, _PendingTask] = {}
             try:
@@ -668,17 +524,12 @@ class WorkerPool:
             except Exception:  # pragma: no cover - submission failure
                 self._broken = True
             self._queue_depth_hwm = max(self._queue_depth_hwm, len(pending))
-            self._collect(pending, results, budget)
+            self._collect(pending, results)
         session = self._session
-        batch_fallbacks = 0
         for slot, (pattern, plan) in enumerate(units):
             if results[slot] is None:
-                if budget is not None and budget.expired():
-                    continue
                 results[slot] = session._execute(pattern, plan)
                 self._serial_fallbacks += 1
-                batch_fallbacks += 1
-        self.last_batch_clean = not self._broken and batch_fallbacks == 0
         return results
 
     # -- observability --------------------------------------------------
@@ -698,20 +549,14 @@ class WorkerPool:
         }
 
     def reliability_stats(self) -> Dict[str, object]:
-        """The resilience-layer counters (fed into ``session.stats()``)."""
+        """The failure-handling counters (fed into ``session.stats()``)."""
         return {
-            "retries": self._retries,
             "deadline_kills": self._deadline_kills,
             "quarantined": self._quarantined,
             "respawns": self._respawns,
             "worker_crashes": self._worker_crashes,
-            "corrupt_results": self._corrupt_results,
-            "malformed_tasks": self._malformed_tasks,
             "worker_errors": self._worker_errors,
             "lost_tasks": self._lost_tasks,
-            "exhausted_tasks": self._exhausted_tasks,
-            "budget_stops": self._budget_stops,
-            "worker_fault_notes": dict(self._fault_notes),
         }
 
     def __repr__(self) -> str:

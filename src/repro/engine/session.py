@@ -51,7 +51,7 @@ from repro.distance.oracle import (
 )
 from repro.engine.cache import DEFAULT_RESULT_CACHE_SIZE, CacheKey, ResultCache
 from repro.engine.parallel import WorkerPool, fork_available
-from repro.exceptions import EngineError, PartialBatchError
+from repro.exceptions import EngineError
 from repro.engine.planner import (
     STRATEGY_INCREMENTAL,
     STRATEGY_SIMULATION,
@@ -67,7 +67,6 @@ from repro.matching.incremental import IncrementalMatcher
 from repro.matching.match_result import MatchResult
 from repro.matching.simulation import ADJACENCY_ORACLE
 from repro.reliability import faults as _faults
-from repro.reliability.resilience import BatchBudget, CircuitBreaker, RetryPolicy
 
 __all__ = ["MatchSession"]
 
@@ -111,16 +110,6 @@ class MatchSession:
     result_cache_size, bits_cache_size, row_cache_size:
         Caps for the result cache, the shared ball-bitset LRU and the
         oracle's dense row LRU (``None`` where accepted = unbounded).
-    breaker:
-        The session's :class:`~repro.reliability.resilience.CircuitBreaker`
-        guarding the worker-pool path of :meth:`match_many` (default: trip
-        after 3 consecutive failed pooled batches, 30 s cool-down, one
-        half-open probe to recover).  While open, batches that would have
-        used the pool run serially and are counted as *degraded*.
-    retry_policy:
-        The :class:`~repro.reliability.resilience.RetryPolicy` the worker
-        pool applies to lost tasks (crash, hang, corruption); ``None``
-        uses the pool's default (2 retries, exponential backoff + jitter).
     selectivity_order:
         When true (default), plans carry a cost-based edge refinement order
         estimated from the snapshot's attribute-index popcounts and the
@@ -148,8 +137,6 @@ class MatchSession:
         bits_cache_size: int = DEFAULT_BITS_CACHE_SIZE,
         row_cache_size: Optional[int] = DEFAULT_ROW_CACHE_SIZE,
         edge_cache_size: Optional[int] = DEFAULT_EDGE_CACHE_SIZE,
-        breaker: Optional[CircuitBreaker] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         selectivity_order: bool = True,
     ) -> None:
         self._graph = graph
@@ -170,13 +157,7 @@ class MatchSession:
         self._parallel_batches = 0
         self._forked_queries = 0
         self._pool: Optional[WorkerPool] = None
-        # Built lazily: single-shot sessions that never touch the pool path
-        # should not pay for breaker construction on the cold path.
-        self._breaker = breaker
-        self._retry_policy = retry_policy
         self._selectivity_order = selectivity_order
-        self._degraded_batches = 0
-        self._budget_exceeded = 0
         self._compiled: CompiledGraph = compile_graph(graph)
         self._compiled.add_patch_listener(self._on_snapshot_patched)
 
@@ -324,7 +305,6 @@ class MatchSession:
         *,
         parallel: Optional[bool] = None,
         max_workers: Optional[int] = None,
-        time_budget: Optional[float] = None,
     ) -> List[MatchResult]:
         """Match a whole pattern workload over the shared read-only snapshot.
 
@@ -333,13 +313,10 @@ class MatchSession:
         **persistent** :class:`~repro.engine.parallel.WorkerPool` — workers
         forked once (copy-on-write) that keep their ball/seed memos warm
         across batches.  On platforms without ``fork`` every batch runs the
-        serial loop, whatever *parallel* says.
-
-        The pool path is guarded by the session's circuit breaker: after
-        repeated pool failures the breaker opens and batches degrade to
-        serial execution for a cool-down window (counted in
-        ``stats()["reliability"]["degraded_batches"]``), with a half-open
-        probe batch to recover.
+        serial loop, whatever *parallel* says.  A query the pool fails to
+        answer (worker crash, hang, stuck queue, stale snapshot) is computed
+        serially in the parent, so the pooled batch returns exactly what the
+        serial loop would.
 
         Parameters
         ----------
@@ -351,14 +328,8 @@ class MatchSession:
         max_workers:
             Pool size cap (default: CPU count); changing it across calls
             respawns the pool at the new size.
-        time_budget:
-            Wall-clock seconds this batch may take.  When the budget runs
-            out before every query completed, the batch stops and raises
-            :class:`~repro.exceptions.PartialBatchError` carrying the
-            partial result list instead of hanging.  ``None`` = unlimited.
         """
         patterns = list(patterns)
-        budget = BatchBudget(time_budget) if time_budget is not None else None
         results: List[Optional[MatchResult]] = [None] * len(patterns)
         pending: Dict[CacheKey, List[int]] = {}
         pending_units: List[Tuple[Pattern, QueryPlan]] = []
@@ -385,42 +356,19 @@ class MatchSession:
                 )
             else:
                 use_pool = bool(parallel)
-            use_pool = use_pool and fork_available()
-            if use_pool and not self.breaker.allow():
-                use_pool = False
-                self._degraded_batches += 1
-            if use_pool:
+            if use_pool and fork_available():
                 pool = self.worker_pool(max_workers=max_workers)
-                computed = pool.run_units(pending_units, budget=budget)
+                computed = pool.run_units(pending_units)
                 self._parallel_batches += 1
                 self._forked_queries += len(pending_units)
-                if pool.last_batch_clean:
-                    self.breaker.record_success()
-                else:
-                    self.breaker.record_failure()
             else:
-                computed = []
-                for pattern, plan in pending_units:
-                    if budget is not None and budget.expired():
-                        computed.append(None)
-                        continue
-                    computed.append(self._execute(pattern, plan))
+                computed = [
+                    self._execute(pattern, plan) for pattern, plan in pending_units
+                ]
             for (key, indices), result in zip(pending.items(), computed):
-                if result is None:
-                    continue
                 self._cache.put(key, result)
                 for index in indices:
                     results[index] = result
-        if budget is not None:
-            completed = sum(1 for result in results if result is not None)
-            if completed < len(results):
-                self._budget_exceeded += 1
-                raise PartialBatchError(
-                    f"batch time budget of {time_budget}s expired with "
-                    f"{completed}/{len(results)} queries complete",
-                    results=results,
-                    completed=completed,
-                )
         return results
 
     def worker_pool(
@@ -428,7 +376,6 @@ class MatchSession:
         *,
         max_workers: Optional[int] = None,
         task_timeout: Optional[float] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> WorkerPool:
         """The session's persistent worker pool (created on first use).
 
@@ -452,9 +399,6 @@ class MatchSession:
             kwargs = {}
             if task_timeout is not None:
                 kwargs["task_timeout"] = task_timeout
-            policy = retry_policy if retry_policy is not None else self._retry_policy
-            if policy is not None:
-                kwargs["retry_policy"] = policy
             pool = WorkerPool(self, max_workers=max_workers, **kwargs)
             self._pool = pool
         return pool
@@ -591,23 +535,11 @@ class MatchSession:
     # bookkeeping
     # ------------------------------------------------------------------
 
-    @property
-    def breaker(self) -> CircuitBreaker:
-        """The circuit breaker guarding this session's pool path (lazy)."""
-        if self._breaker is None:
-            self._breaker = CircuitBreaker()
-        return self._breaker
-
     def stats(self) -> Dict[str, object]:
         """Counters for tests, benchmarks and the CLI report."""
         plan = _faults.active_plan()
         reliability: Dict[str, object] = {
             "faults_armed": plan.to_env() if plan is not None else None,
-            "injections": _faults.counters(),
-            "breaker": self.breaker.stats(),
-            "degraded_batches": self._degraded_batches,
-            "budget_exceeded": self._budget_exceeded,
-            "cache_pressure_sheds": self._cache.pressure_sheds,
         }
         if self._pool is not None:
             reliability.update(self._pool.reliability_stats())

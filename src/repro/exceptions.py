@@ -20,7 +20,6 @@ __all__ = [
     "MatchingError",
     "NoMatchError",
     "EngineError",
-    "PartialBatchError",
     "IncrementalError",
     "CyclicPatternError",
     "DistanceOracleError",
@@ -117,23 +116,6 @@ class NoMatchError(MatchingError):
 
 class EngineError(MatchingError):
     """Errors raised by the query-engine layer (:mod:`repro.engine`)."""
-
-
-class PartialBatchError(EngineError):
-    """A batch exhausted its time budget before every query completed.
-
-    Raised by :meth:`~repro.engine.session.MatchSession.match_many` when a
-    ``time_budget`` was given and ran out: instead of hanging (or silently
-    recomputing the stragglers past the deadline), the batch stops and
-    reports what it has.  ``results`` is the full result list aligned with
-    the input patterns, with ``None`` in every incomplete slot;
-    ``completed`` is the number of non-``None`` entries.
-    """
-
-    def __init__(self, message: str, results=None, completed: int = 0):
-        super().__init__(message)
-        self.results = results if results is not None else []
-        self.completed = completed
 
 
 class IncrementalError(MatchingError):

@@ -83,10 +83,20 @@ def save_graph_json(graph: DataGraph, path: PathLike, *, indent: int = 2) -> Non
     Path(path).write_text(json.dumps(payload, indent=indent, default=str), encoding="utf-8")
 
 
+def _read_text(path: PathLike) -> str:
+    """The text of *path*; a missing or unreadable file is a typed error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SerializationError(f"{path}: cannot read: {reason}") from None
+
+
 def load_graph_json(path: PathLike) -> DataGraph:
     """Load a graph previously written by :func:`save_graph_json`."""
+    text = _read_text(path)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"{path}: invalid JSON: {exc}") from None
     return graph_from_dict(data)
@@ -105,8 +115,9 @@ def save_pattern_json(pattern: Pattern, path: PathLike, *, indent: int = 2) -> N
 
 def load_pattern_json(path: PathLike) -> Pattern:
     """Load a pattern previously written by :func:`save_pattern_json`."""
+    text = _read_text(path)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"{path}: invalid JSON: {exc}") from None
     return Pattern.from_dict(data)
@@ -150,7 +161,7 @@ def load_edge_list(
         default, pass ``str`` for symbolic ids).
     """
     graph = DataGraph(name=name or Path(path).stem)
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):

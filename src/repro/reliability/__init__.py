@@ -1,28 +1,25 @@
 """Reliability engineering for the execution engine.
 
-Three layers, from the bottom up:
+The worker pool (:mod:`repro.engine.parallel`) has one failure rule: a task
+it fails to answer is never sent again, and the parent computes it
+serially, so a pooled batch always equals serial execution.  This package
+makes that claim testable:
 
 * :mod:`repro.reliability.faults` — the deterministic, seeded
   fault-injection harness (named fault points armed via ``REPRO_FAULTS`` or
-  the :class:`FaultPlan` API) the engine's failure paths are instrumented
-  with;
-* :mod:`repro.reliability.resilience` — the policy objects the execution
-  layer consults on those paths: :class:`RetryPolicy` (bounded retries,
-  exponential backoff + jitter), :class:`CircuitBreaker` (degrade to serial
-  after repeated pool failures, half-open probe to recover) and
-  :class:`BatchBudget` (partial-batch errors instead of hangs);
+  the :class:`FaultPlan` API) for the three failures a forked worker can
+  really have: a crash, a hang and a withheld result;
 * :mod:`repro.reliability.chaos` — the chaos runner replaying seeded fault
   schedules over real workloads and asserting pooled results stay identical
   to serial execution (``repro chaos`` on the command line).
 
-``faults`` and ``resilience`` are stdlib-only and safe to import from the
-engine's core; ``chaos`` imports the engine and is therefore loaded lazily.
+``faults`` is stdlib-only and safe to import from the engine's core;
+``chaos`` imports the engine and is therefore loaded lazily.
 """
 
 from __future__ import annotations
 
 from repro.reliability.faults import (
-    CORRUPT,
     FAULT_POINTS,
     FaultPlan,
     FaultPlanError,
@@ -31,30 +28,15 @@ from repro.reliability.faults import (
     arm,
     disarm,
 )
-from repro.reliability.resilience import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    BatchBudget,
-    CircuitBreaker,
-    RetryPolicy,
-)
 
 __all__ = [
     "FAULT_POINTS",
-    "CORRUPT",
     "FaultPlan",
     "FaultPlanError",
     "FaultSpec",
     "arm",
     "disarm",
     "active_plan",
-    "RetryPolicy",
-    "CircuitBreaker",
-    "BatchBudget",
-    "BREAKER_CLOSED",
-    "BREAKER_OPEN",
-    "BREAKER_HALF_OPEN",
     "ChaosReport",
     "DEFAULT_CHAOS_PLAN",
     "run_chaos",

@@ -1,8 +1,8 @@
 """Deterministic, seeded fault injection for the execution engine.
 
-The engine's failure paths (worker crashes, hangs, result-queue stalls,
-snapshot skew, payload corruption, cache memory pressure) are impossible to exercise reliably from the outside: they
-depend on OS scheduling, memory pressure and timing.  This module gives
+The worker pool's failure paths (worker crashes, hangs, result-queue
+stalls) are impossible to exercise reliably from the outside: they depend
+on OS scheduling, memory pressure and timing.  This module gives
 every such path a **named fault point** that the engine consults at the
 exact place the real failure would strike, so a test (or the ``repro
 chaos`` CLI) can arm a seeded schedule and replay the same failure sequence
@@ -54,7 +54,6 @@ from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "FAULT_POINTS",
-    "CORRUPT",
     "FaultPlanError",
     "FaultSpec",
     "FaultPlan",
@@ -69,24 +68,15 @@ __all__ = [
     "evaluations",
 ]
 
-#: The named fault points the engine instruments.
+#: The named fault points the engine instruments.  All three fire inside
+#: pool worker processes, so their fire counters live in the workers.
 FAULT_POINTS = frozenset(
     {
-        # worker-side (fire inside pool worker processes)
         "worker.crash",  # SIGKILL self before executing the task
-        "worker.hang",  # sleep ~arg seconds instead of answering
+        "worker.hang",  # sleep ~arg seconds before executing the task
         "queue.stall",  # compute the result, then withhold it
-        "result.corrupt",  # answer with a garbage payload
-        # parent-side (fire in the dispatching process)
-        "task.corrupt",  # replace the task tuple on the wire with garbage
-        "snapshot.skew",  # dispatch with a skewed expected snapshot version
-        "cache.pressure",  # memory-pressure signal at result-cache put
     }
 )
-
-#: Sentinel garbage payload used by ``result.corrupt`` (picklable, never a
-#: valid result type, recognisable in diagnostics).
-CORRUPT = "\x00repro:corrupt-payload"
 
 
 class FaultPlanError(ValueError):

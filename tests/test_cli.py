@@ -58,6 +58,20 @@ class TestParser:
 
 
 class TestMatchCommand:
+    @pytest.mark.parametrize("flag", ["--graph", "--pattern"])
+    def test_missing_file_is_a_one_line_error(self, tmp_path, graph_file, flag):
+        missing = tmp_path / "nonexistent.json"
+        argv = {"--graph": str(graph_file), "--q": "(a)->(b)"}
+        if flag == "--pattern":
+            del argv["--q"]
+        argv[flag] = str(missing)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["match", *[item for pair in argv.items() for item in pair]])
+        message = excinfo.value.code
+        # SystemExit with a string prints it to stderr and exits 1.
+        assert isinstance(message, str) and "\n" not in message
+        assert str(missing) in message and "No such file" in message
+
     def test_text_output(self, graph_file, pattern_file, capsys):
         exit_code = main(["match", "--graph", str(graph_file), "--pattern", str(pattern_file)])
         captured = capsys.readouterr().out
@@ -296,14 +310,14 @@ class TestChaosCommand:
                 "--nodes", "60", "--edges", "180",
                 "--queries", "3",
                 "--rounds", "1",
-                "--plan", "snapshot.skew@0.5#1,cache.pressure@0.5#1",
+                "--plan", "queue.stall@0.5#1",
                 "--no-mutate",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "all survived" in out
-        assert "parent injections" in out
+        assert "recovery:" in out
 
     def test_chaos_json_matrix(self, capsys):
         code = main(
@@ -313,7 +327,7 @@ class TestChaosCommand:
                 "--queries", "2",
                 "--rounds", "1",
                 "--seeds", "2",
-                "--plan", "task.corrupt@0.5#1",
+                "--plan", "worker.crash@0.5#1",
                 "--no-mutate",
                 "--json",
             ]

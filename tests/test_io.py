@@ -52,6 +52,14 @@ class TestGraphJson:
         with pytest.raises(SerializationError):
             graph_from_dict({"nodes": []})
 
+    @pytest.mark.parametrize("loader", [load_graph_json, load_pattern_json, load_edge_list])
+    def test_unreadable_path_raises(self, tmp_path, loader):
+        with pytest.raises(SerializationError, match="No such file"):
+            loader(tmp_path / "missing.json")
+        # A directory is unreadable as a file, too.
+        with pytest.raises(SerializationError, match="cannot read"):
+            loader(tmp_path)
+
 
 class TestPatternJson:
     def test_round_trip(self, tmp_path):

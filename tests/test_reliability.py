@@ -1,26 +1,15 @@
-"""Unit tests for the reliability primitives (repro.reliability).
+"""Unit tests for the fault-injection harness (repro.reliability.faults).
 
-Covers the fault-plan grammar and its seeded determinism, the retry
-policy's backoff envelope, the circuit breaker's full state machine (on a
-fake clock — no sleeping), and the batch budget.
+Covers the fault-plan grammar, the set of fault points and the seeded
+determinism of armed schedules.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.reliability import faults
-from repro.reliability.faults import FaultPlan, FaultPlanError, FaultSpec
-from repro.reliability.resilience import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    BatchBudget,
-    CircuitBreaker,
-    RetryPolicy,
-)
+from repro.reliability.faults import FAULT_POINTS, FaultPlan, FaultPlanError, FaultSpec
 
 
 @pytest.fixture(autouse=True)
@@ -31,23 +20,18 @@ def _disarmed():
     faults.disarm()
 
 
-class FakeClock:
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
 # ----------------------------------------------------------------------
 # plan grammar
 # ----------------------------------------------------------------------
 
 
 class TestPlanGrammar:
+    def test_fault_points_are_the_worker_failures(self):
+        assert FAULT_POINTS == {"worker.crash", "worker.hang", "queue.stall"}
+        for gone in ("result.corrupt", "task.corrupt", "snapshot.skew", "cache.pressure"):
+            with pytest.raises(FaultPlanError):
+                FaultSpec.parse(gone)
+
     def test_parse_bare_point(self):
         spec = FaultSpec.parse("worker.crash")
         assert spec.point == "worker.crash"
@@ -67,13 +51,13 @@ class TestPlanGrammar:
             "worker.crash",
             "worker.hang@0.25#3~1.5",
             "queue.stall#1",
-            "snapshot.skew@0.5",
-            "cache.pressure@0",
+            "queue.stall@0.5",
+            "worker.crash@0",
         ]:
             assert FaultSpec.parse(text).to_text() == text
 
     def test_plan_env_round_trip(self):
-        plan = FaultPlan.parse("42:worker.crash@0.1#2,snapshot.skew")
+        plan = FaultPlan.parse("42:worker.crash@0.1#2,queue.stall")
         assert plan.seed == 42
         assert len(plan.specs) == 2
         again = FaultPlan.parse(plan.to_env())
@@ -131,11 +115,11 @@ class TestArmedFaults:
         assert faults.evaluations() == 3
 
     def test_rate_zero_probe_counts_evaluations_only(self):
-        faults.arm(FaultPlan.parse("1:snapshot.skew@0"))
+        faults.arm(FaultPlan.parse("1:queue.stall@0"))
         for _ in range(50):
-            assert faults.should_fire("snapshot.skew") is False
+            assert faults.should_fire("queue.stall") is False
         assert faults.evaluations() == 50
-        assert faults.counters() == {"snapshot.skew": 0}
+        assert faults.counters() == {"queue.stall": 0}
 
     def test_seeded_schedule_is_deterministic(self):
         def schedule(seed, salt=0):
@@ -161,140 +145,3 @@ class TestArmedFaults:
         faults._arm_from_env()
         armed = faults.active_plan()
         assert armed is not None and armed.to_env() == plan.to_env()
-
-
-# ----------------------------------------------------------------------
-# retry policy
-# ----------------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_backoff_grows_exponentially_within_bounds(self):
-        policy = RetryPolicy(
-            max_retries=5, base_delay=0.1, max_delay=1.0, jitter=0.5,
-            rng=random.Random(3),
-        )
-        for attempt in range(8):
-            delay = policy.backoff(attempt)
-            floor = min(1.0, 0.1 * (2 ** attempt))
-            assert floor <= delay <= floor * 1.5
-
-    def test_zero_jitter_is_exact(self):
-        policy = RetryPolicy(base_delay=0.05, max_delay=2.0, jitter=0.0)
-        assert policy.backoff(0) == 0.05
-        assert policy.backoff(1) == 0.1
-        assert policy.backoff(10) == 2.0  # capped
-
-    def test_invalid_parameters_raise(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=1.0, max_delay=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
-
-
-# ----------------------------------------------------------------------
-# circuit breaker
-# ----------------------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def test_trips_after_threshold_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=10.0, clock=clock)
-        assert breaker.state == BREAKER_CLOSED
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == BREAKER_CLOSED
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.trips == 1
-        assert not breaker.allow()
-
-    def test_success_resets_the_consecutive_count(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=10.0, clock=clock)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == BREAKER_CLOSED
-
-    def test_half_open_allows_exactly_one_probe(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=10.0, clock=clock)
-        breaker.record_failure()
-        assert breaker.state == BREAKER_OPEN
-        clock.advance(10.0)
-        assert breaker.state == BREAKER_HALF_OPEN
-        assert breaker.allow()  # the probe
-        assert not breaker.allow()  # everyone else stays degraded
-        assert breaker.probes == 1
-
-    def test_probe_success_closes(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=5.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == BREAKER_CLOSED
-        assert breaker.allow()
-
-    def test_probe_failure_reopens_with_fresh_cooldown(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=5.0, clock=clock)
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.allow()
-        breaker.record_failure()  # half-open failure re-trips immediately
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.trips == 2
-        clock.advance(4.9)
-        assert not breaker.allow()
-        clock.advance(0.2)
-        assert breaker.allow()
-
-    def test_stats_shape(self):
-        breaker = CircuitBreaker()
-        stats = breaker.stats()
-        assert stats["state"] == BREAKER_CLOSED
-        for key in ("trips", "failures", "successes", "probes"):
-            assert stats[key] == 0
-
-    def test_invalid_parameters_raise(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown=-1.0)
-
-
-# ----------------------------------------------------------------------
-# batch budget
-# ----------------------------------------------------------------------
-
-
-class TestBatchBudget:
-    def test_unlimited_never_expires(self):
-        budget = BatchBudget(None)
-        assert budget.remaining() is None
-        assert not budget.expired()
-
-    def test_counts_down_and_expires(self):
-        clock = FakeClock()
-        budget = BatchBudget(2.0, clock=clock)
-        assert budget.remaining() == 2.0
-        clock.advance(1.5)
-        assert budget.remaining() == pytest.approx(0.5)
-        assert not budget.expired()
-        clock.advance(0.5)
-        assert budget.expired()
-        assert budget.remaining() == 0.0
-
-    def test_non_positive_budget_rejected(self):
-        with pytest.raises(ValueError):
-            BatchBudget(0.0)
-        with pytest.raises(ValueError):
-            BatchBudget(-1.0)

@@ -250,19 +250,6 @@ class TestInternedStoreMemo:
         after = store.descendants_within_bits(compiled, 0, 1)
         assert after & (1 << 1)
 
-    def test_version_skew_drops_memo_without_clear_memo(self, graph):
-        compiled = compile_graph(graph)
-        store = InternedDistanceStore(compiled)
-        store.descendants_within_bits(compiled, 0, 2)
-        assert len(store._bits_memo)
-        compiled.version += 1
-        # A raw cell write (``dist(0, 5) = 1``): unlike ``set_distance`` it
-        # does not drop the memo, so only the version skew can.
-        store.flat[0 * store.num_nodes + 5] = 1
-        bits = store.descendants_within_bits(compiled, 0, 2)
-        assert bits & (1 << 5)
-        assert store._memo_version == compiled.version
-
 
 class TestArmedEngineRuns:
     def test_full_match_run_raises_no_alarms(self, armed, graph):

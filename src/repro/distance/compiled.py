@@ -9,14 +9,15 @@ core.  Following the flat-representation playbook of compiled query engines,
 this module keeps the whole hot path in interned-id/array space:
 
 * :class:`FlatBFSKernel` — a reusable breadth-first kernel over a
-  :class:`~repro.graph.compiled.CompiledGraph`.  Bounded "balls" are emitted
-  directly as Python-int bitsets by a *level-synchronised* search whose
-  frontier is itself a bitset: each step ORs whole cached neighbour rows
-  (word-parallel C work) instead of touching edges one by one, which is
-  what beats the dict BFS in CPython.  Dense distance rows come from a
-  second variant that copies an all ``-1`` ``array('i')`` template (one
-  C-level memcpy) and lets the row double as the visited set, walking a
-  per-snapshot tuple-decoded CSR.  No dict of node ids is ever touched.
+  :class:`~repro.graph.compiled.CompiledGraph` with two ball forms.  The
+  dense form emits a Python-int bitset from a *level-synchronised* search
+  whose frontier is itself a bitset: each step ORs whole cached neighbour
+  rows (word-parallel C work) instead of touching edges one by one, which
+  is what beats the dict BFS in CPython.  The sparse form walks a
+  per-snapshot tuple-decoded CSR and emits a tuple of interned indices.
+  Dense distance rows copy an all ``-1`` ``array('i')`` template (one
+  C-level memcpy) and let the row double as the visited set.  No dict of
+  node ids is ever touched.
 
 * :class:`CompiledDistanceMatrix` — a :class:`~repro.distance.oracle.DistanceOracle`
   whose rows are *lazily* computed per-source ``array('i')`` vectors behind
@@ -24,7 +25,8 @@ this module keeps the whole hot path in interned-id/array space:
   full column map is never built.  It is the default oracle of
   :func:`~repro.matching.bounded.match`: together with the worklist
   refinement it computes balls only for live candidates instead of all
-  ``|V|^2`` pairs.
+  ``|V|^2`` pairs.  Each ball is searched once: as a bitset (at most
+  1 KiB) up to :data:`DENSE_BALL_MAX_NODES` nodes, as an index tuple above.
 
 The matrix, BFS and 2-hop oracles stay available for the paper's Exp-2
 comparisons.  The incremental procedures (``UpdateM`` repairs a fully
@@ -57,6 +59,12 @@ __all__ = ["FlatBFSKernel", "CompiledDistanceMatrix", "DEFAULT_ROW_CACHE_SIZE"]
 #: Default cap on the number of cached distance rows/columns of
 #: :class:`CompiledDistanceMatrix` (each is a dense ``array('i')`` of |V|).
 DEFAULT_ROW_CACHE_SIZE = 512
+
+#: Widest snapshot whose balls :class:`CompiledDistanceMatrix` searches and
+#: memoises as bitsets: 8192 bits is 1 KiB, no bigger than the 128-entry
+#: index tuple a sparse ball of that size would be.  Wider snapshots use
+#: the sparse :meth:`FlatBFSKernel.ball_nodes` walk.
+DENSE_BALL_MAX_NODES = 8192
 
 
 class FlatBFSKernel:
@@ -190,28 +198,18 @@ class FlatBFSKernel:
         return result
 
     def ball_nodes(
-        self,
-        source: int,
-        bound: Optional[int],
-        *,
-        reverse: bool = False,
-        cutoff: Optional[int] = None,
-    ) -> Optional[Tuple[int, ...]]:
+        self, source: int, bound: Optional[int], *, reverse: bool = False
+    ) -> Tuple[int, ...]:
         """The ball of :meth:`ball_bits` as a tuple of interned indices.
 
-        A sparse counterpart for the common large-graph case where the ball
-        holds a few dozen nodes out of 100k+: the search walks the
-        tuple-decoded CSR and touches only the edges actually inside the
-        ball, instead of OR-ing ``|V|``-bit integers per frontier node, and
-        the result is a few hundred bytes instead of a ``|V|/8``-byte
-        bitset — which is what makes memoising *every* ball of a large
-        batch workload affordable.  Semantics are identical to
-        :meth:`ball_bits` (nonempty paths; *source* included only via a
-        cycle within the bound).
-
-        With *cutoff* the search aborts and returns ``None`` once the ball
-        exceeds that many nodes — callers then fall back to the
-        word-parallel dense search, which wins for big balls.
+        The sparse form, for snapshots wider than
+        :data:`DENSE_BALL_MAX_NODES`: the search walks the tuple-decoded CSR
+        and touches only the edges inside the ball, instead of OR-ing
+        ``|V|``-bit integers per frontier node, and the result costs a few
+        bytes per member instead of a ``|V|/8``-byte bitset — which is what
+        makes memoising *every* ball of a large batch workload affordable.
+        Semantics are identical to :meth:`ball_bits` (nonempty paths;
+        *source* included only via a cycle within the bound).
         """
         if bound is not None and bound <= 0:
             return ()
@@ -235,8 +233,6 @@ class FlatBFSKernel:
                         append(j)
                     elif j == source:
                         hit_source = True
-            if cutoff is not None and len(out) > cutoff:
-                return None
             frontier = next_frontier
         if hit_source:
             append(source)
@@ -288,8 +284,9 @@ class CompiledDistanceMatrix(DistanceOracle):
     * ``ancestors_*`` queries materialise a *column* the same way — one
       on-demand reverse BFS — instead of maintaining a full column map.
     * bounded balls come straight from the snapshot's
-      :class:`FlatBFSKernel` as bitsets and are memoised in the shared
-      :class:`~repro.distance.oracle.BoundedBitsCache`.
+      :class:`FlatBFSKernel`, one search per miss in the form chosen by
+      the snapshot's width (see :meth:`_compact_ball`), and are memoised
+      in the shared :class:`~repro.distance.oracle.BoundedBitsCache`.
 
     Staleness follows the graph's ``version`` counter: any mutation drops
     the caches and re-pins the snapshot on the next query.  Bitset queries
@@ -345,6 +342,7 @@ class CompiledDistanceMatrix(DistanceOracle):
             return self._compiled
         self._compiled = compile_graph(graph)
         self._kernel = self._compiled.flat_kernel()
+        self._dense_balls = self._compiled.num_nodes <= DENSE_BALL_MAX_NODES
         self._rows_lru.clear()
         self._bits_lru.clear()
         self._synced_version = graph.version
@@ -422,26 +420,23 @@ class CompiledDistanceMatrix(DistanceOracle):
         return compiled.decode(ball)
 
     def _compact_ball(self, index: int, bound: Optional[int], forward: bool):
-        """The memoised ball of ``(index, bound)`` — tuple of indices or bitset.
+        """The memoised ball of ``(index, bound)`` — bitset or tuple of indices.
 
-        Small balls (the overwhelmingly common case on large sparse graphs)
-        are computed by the kernel's sparse walk and cached as index tuples
-        — a few hundred bytes instead of a ``|V|/8``-byte integer — which is
-        what lets a session (or a pinned pool worker) memoise *every* ball
-        of a big batch workload instead of thrashing the LRU.  Balls past
-        the sparse cutoff fall back to the word-parallel dense search and
-        are cached as bitsets; consumers dispatch on the value's type.
+        A miss runs exactly one kernel search, in the form :meth:`_sync`
+        chose for the snapshot: :meth:`FlatBFSKernel.ball_bits` when the
+        snapshot has at most :data:`DENSE_BALL_MAX_NODES` nodes (a bitset of
+        at most 1 KiB), :meth:`FlatBFSKernel.ball_nodes` above that, where
+        an index tuple keeps a session's memo of *every* ball of a big batch
+        workload small.  Consumers dispatch on the value's type.
         """
         self._sync()
         key = (index, bound, forward)
         ball = self._bits_lru.get(key)
         if ball is None:
-            cutoff = max(128, self._compiled.num_nodes >> 6)
-            ball = self._kernel.ball_nodes(
-                index, bound, reverse=not forward, cutoff=cutoff
-            )
-            if ball is None:
+            if self._dense_balls:
                 ball = self._kernel.ball_bits(index, bound, reverse=not forward)
+            else:
+                ball = self._kernel.ball_nodes(index, bound, reverse=not forward)
             if _sanitize.ENABLED:
                 _sanitize.primed_ball(ball, self._compiled.num_nodes)
             self._bits_lru.put(key, ball)

@@ -136,10 +136,10 @@ def _serve(session: "MatchSession", tasks, results, worker_id: int) -> None:
                 break
 
 
-def _fork_worker_main(worker_id: int, tasks, results) -> None:
+def _fork_worker_main(worker_id: int, salt: int, tasks, results) -> None:
     """Entry point of fork workers; the session arrives via copy-on-write."""
     if _faults.ENABLED:
-        _faults.reseed(worker_id + 1)
+        _faults.reseed(salt)
     _serve(_WORKER_SESSION, tasks, results, worker_id)
 
 
@@ -287,18 +287,23 @@ class WorkerPool:
         return True
 
     def _make_worker(self, context, worker_id: int):
-        """Fork one worker process for *worker_id* on the live queues."""
+        """Fork one worker for *worker_id*, salted with this pool's fork serial.
+
+        A replacement thus draws a fresh fault schedule instead of
+        replaying its predecessor's.
+        """
         global _WORKER_SESSION
         _WORKER_SESSION = self._session
         try:
             process = context.Process(
                 target=_fork_worker_main,
-                args=(worker_id, self._task_queue, self._result_queue),
+                args=(worker_id, self._workers_spawned + 1, self._task_queue, self._result_queue),
                 daemon=True,
             )
             process.start()
         finally:
             _WORKER_SESSION = None
+        self._workers_spawned += 1
         return process
 
     def _start_workers(self, version: int) -> None:
@@ -312,7 +317,6 @@ class WorkerPool:
         self._processes = processes
         self._pinned_version = version
         self._broken = False
-        self._workers_spawned += len(processes)
         self._finalizer = weakref.finalize(
             self, _reap, self._processes, self._task_queue
         )
@@ -327,7 +331,6 @@ class WorkerPool:
         except Exception:  # pragma: no cover - fork failure
             return False
         self._processes[worker_id] = process
-        self._workers_spawned += 1
         self._respawns += 1
         return True
 

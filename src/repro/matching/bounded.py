@@ -201,10 +201,9 @@ def refine_bits_to_fixpoint(
     if not edges:
         return removed
 
-    # Balls arrive either as int bitsets or as sparse index tuples
+    # Balls arrive as int bitsets or, from the compiled oracle on graphs
+    # wider than DENSE_BALL_MAX_NODES, as sparse index tuples
     # (DistanceOracle.descendants_compact); counting dispatches on the type.
-    # Sparse balls keep the memo footprint at a few hundred bytes per entry,
-    # which is what makes ball reuse across a large batch workload real.
     descendants = getattr(oracle, "descendants_compact", None)
     if descendants is None:
         descendants = oracle.descendants_within_bits

@@ -14,7 +14,7 @@ subcommand and the chaos test suite both call it); it returns a
 counter the run produced.
 
 Determinism: every fault point fires inside a worker, whose schedule is a
-pure function of the plan seed and its worker id.  Which task meets which
+pure function of the plan seed and its pool's fork serial.  Which task meets which
 fire still depends on which worker picked it up — scheduling the OS
 controls — so *which* fault hits *which* query can vary across runs, but
 the equivalence invariant must hold for every interleaving; that is the
@@ -140,7 +140,7 @@ def run_chaos(
     staleness and repin paths run under fire.
 
     Fork workers inherit the armed plan by copy-on-write and salt it with
-    their worker id.
+    their pool's fork serial.
     """
     parsed = plan if isinstance(plan, FaultPlan) else FaultPlan.parse(plan, seed=seed)
     patterns = list(patterns)

@@ -35,9 +35,9 @@ Determinism
 -----------
 Each fault point draws from its own ``random.Random`` seeded from
 ``(plan seed, point name)``, so for a fixed call sequence the fire schedule
-is a pure function of the seed.  Worker processes additionally mix their
-worker id into the stream (:func:`reseed`) so workers diverge from each
-other deterministically.
+is a pure function of the seed.  Each forked worker additionally mixes its
+pool's fork serial into the stream (:func:`reseed`), so siblings and
+replacements diverge from each other deterministically.
 
 Cost discipline — the same contract as ``repro.analysis.sanitize``: every
 hook site is guarded by ``if _faults.ENABLED:``, one module-attribute load
@@ -247,8 +247,9 @@ def active_plan() -> Optional[FaultPlan]:
 def reseed(salt: int) -> None:
     """Re-derive the RNG streams with *salt* mixed in (counters reset).
 
-    Pool worker mains call this with their worker id so sibling workers
-    draw deterministically different fire schedules from one seed.
+    Pool worker mains call this with their pool's fork serial, so sibling
+    and replacement workers draw deterministically different fire
+    schedules from one seed.
     """
     if _STATE is not None:
         arm(_STATE.plan, salt=salt)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import MatchSession, WorkerPool, fork_available
+from repro.engine import MatchSession, WorkerPool, fork_available, parallel
 from repro.graph.generators import random_data_graph
 from repro.matching.bounded import match
 from repro.reliability import faults
@@ -129,6 +129,56 @@ class TestFaultKindCoverage:
         assert report.reliability["deadline_kills"] >= 1
         assert report.reliability["quarantined"] >= 1
         assert report.pool["serial_fallbacks"] >= 1
+
+
+# ----------------------------------------------------------------------
+# replacement workers draw fresh schedules
+# ----------------------------------------------------------------------
+
+
+def _report_first_draws(session, tasks, results, worker_id):
+    """A worker loop that reports its first fault draws and exits."""
+    results.put([faults.should_fire("worker.crash") for _ in range(32)])
+
+
+class TestReplacementSchedules:
+    @staticmethod
+    def forked_draws(graph, seed, monkeypatch):
+        """The first draws of a sole worker, then of its replacement."""
+        monkeypatch.setattr(parallel, "_serve", _report_first_draws)
+        with MatchSession(graph) as session:
+            with WorkerPool(session, max_workers=1) as pool:
+                faults.arm(FaultPlan.parse("worker.crash@0.5", seed=seed))
+                try:
+                    assert pool.ensure()
+                    first = pool._result_queue.get(timeout=30)
+                    pool._processes[0].join(timeout=30)
+                    assert not pool._processes[0].is_alive()
+                    assert pool._respawn_worker(0)
+                    replacement = pool._result_queue.get(timeout=30)
+                finally:
+                    faults.disarm()
+        return first, replacement
+
+    @staticmethod
+    def salted_draws(seed, salt):
+        faults.arm(FaultPlan.parse("worker.crash@0.5", seed=seed), salt=salt)
+        try:
+            return [faults.should_fire("worker.crash") for _ in range(32)]
+        finally:
+            faults.disarm()
+
+    def test_respawned_worker_does_not_replay_its_predecessor(
+        self, chaos_graph, monkeypatch
+    ):
+        first, replacement = self.forked_draws(chaos_graph, 7, monkeypatch)
+        assert replacement != first
+        # The pool's fork serial is the salt: the first worker keeps salt 1,
+        # its replacement takes salt 2.
+        assert first == self.salted_draws(7, 1)
+        assert replacement == self.salted_draws(7, 2)
+        # Still a pure function of the seed.
+        assert self.forked_draws(chaos_graph, 7, monkeypatch) == (first, replacement)
 
 
 # ----------------------------------------------------------------------

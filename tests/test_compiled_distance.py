@@ -14,7 +14,12 @@ import random
 import pytest
 
 from repro.distance.bfs import BFSDistanceOracle
-from repro.distance.compiled import CompiledDistanceMatrix, FlatBFSKernel
+from repro.analysis import sanitize
+from repro.distance.compiled import (
+    DENSE_BALL_MAX_NODES,
+    CompiledDistanceMatrix,
+    FlatBFSKernel,
+)
 from repro.distance.incremental import build_store
 from repro.distance.matrix import DistanceMatrix, InternedDistanceStore
 from repro.distance.oracle import INF, BoundedBitsCache
@@ -407,3 +412,151 @@ class TestBoundedBitsCache:
     def test_rejects_nonpositive_cap(self):
         with pytest.raises(ValueError):
             BoundedBitsCache(0)
+
+
+# ----------------------------------------------------------------------
+# ball form: dense up to DENSE_BALL_MAX_NODES nodes, sparse above
+# ----------------------------------------------------------------------
+
+BALL_BOUNDS = [1, 2, 3, None]
+
+
+def _gadget_graph(width: int) -> DataGraph:
+    """*width* nodes in blocks of six, so every ball stays small.
+
+    Per block ``b``: a chain ``b -> b+1 -> b+2 -> b+3``, a self-loop on
+    ``b+1``, a 2-cycle ``b+2 <-> b+3``, an edge ``b+4 -> b`` into the chain
+    and an isolated ``b+5`` whose balls are empty in both directions.
+    """
+    graph = DataGraph()
+    for i in range(width):
+        graph.add_node(i, label=i % 6)
+    edges = []
+    for b in range(0, width, 6):
+        edges += [(b, b + 1), (b + 1, b + 2), (b + 2, b + 3), (b + 1, b + 1)]
+        edges += [(b + 3, b + 2), (b + 4, b)]
+    for source, target in edges:
+        if max(source, target) < width:
+            graph.add_edge(source, target)
+    return graph
+
+
+@pytest.fixture(
+    scope="module",
+    params=[DENSE_BALL_MAX_NODES, DENSE_BALL_MAX_NODES + 1],
+    ids=["at-threshold", "above-threshold"],
+)
+def gadget_graph(request):
+    return _gadget_graph(request.param)
+
+
+class TestBallForm:
+    def test_chosen_ball_matches_both_kernel_forms_and_dict_bfs(self, gadget_graph):
+        oracle = CompiledDistanceMatrix(gadget_graph, bits_cache_size=None)
+        compiled = oracle.snapshot
+        kernel = compiled.flat_kernel()
+        dense = compiled.num_nodes <= DENSE_BALL_MAX_NODES
+        node_of = compiled.node_of
+        for node in gadget_graph.nodes():
+            index = compiled.id_of(node)
+            for bound in BALL_BOUNDS:
+                for forward in (True, False):
+                    if forward:
+                        want = gadget_graph.descendants_within(node, bound)
+                    else:
+                        want = gadget_graph.ancestors_within(node, bound)
+                    ball = oracle._compact_ball(index, bound, forward)
+                    assert type(ball) is (int if dense else tuple)
+                    bits = kernel.ball_bits(index, bound, reverse=not forward)
+                    nodes = kernel.ball_nodes(index, bound, reverse=not forward)
+                    assert len(set(nodes)) == len(nodes)
+                    assert compiled.decode(bits) == want, (node, bound, forward)
+                    assert {node_of(i) for i in nodes} == want, (node, bound, forward)
+                    if dense:
+                        chosen = compiled.decode(ball)
+                    else:
+                        chosen = {node_of(i) for i in ball}
+                    assert chosen == want, (node, bound, forward)
+
+    def test_gadget_covers_the_corner_cases(self, gadget_graph):
+        # Self-loop, 2-cycle and an empty ball, in both forms.
+        assert 1 in gadget_graph.descendants_within(1, 1)
+        assert 2 in gadget_graph.descendants_within(2, 2)
+        assert 2 not in gadget_graph.descendants_within(2, 1)
+        assert gadget_graph.descendants_within(5, None) == set()
+        assert gadget_graph.ancestors_within(5, None) == set()
+
+
+class TestOneSearchPerMiss:
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = {"ball_bits": [], "ball_nodes": []}
+        for name in calls:
+            original = getattr(FlatBFSKernel, name)
+
+            def counting(self, *args, _original=original, _name=name, **kwargs):
+                result = _original(self, *args, **kwargs)
+                calls[_name].append(result)
+                return result
+
+            monkeypatch.setattr(FlatBFSKernel, name, counting)
+        return calls
+
+    @staticmethod
+    def request_every_ball(oracle, compiled, sources):
+        for index in sources:
+            for bound in BALL_BOUNDS:
+                oracle.descendants_compact(compiled, index, bound)
+                oracle.descendants_within_bits(compiled, index, bound)
+                oracle.ancestors_within_bits(compiled, index, bound)
+
+    def test_small_graph_searches_each_miss_once_densely(self, graph, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        oracle = CompiledDistanceMatrix(graph, bits_cache_size=None)
+        compiled = oracle.snapshot
+        for _ in range(2):  # the second pass is all memo hits
+            self.request_every_ball(oracle, compiled, range(compiled.num_nodes))
+        misses = len(oracle._bits_lru)
+        assert misses == 2 * len(BALL_BOUNDS) * compiled.num_nodes
+        assert len(calls["ball_bits"]) == misses
+        assert calls["ball_nodes"] == []
+
+    def test_match_searches_each_miss_once(self, graph, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        oracle = CompiledDistanceMatrix(graph, bits_cache_size=None)
+        pattern = PatternGenerator(graph, seed=3).generate(4, 4, 3)
+        assert match(pattern, graph, oracle=oracle) == naive_match(pattern, graph)
+        assert len(calls["ball_bits"]) == len(oracle._bits_lru) > 0
+        assert calls["ball_nodes"] == []
+
+    def test_wide_graph_searches_each_miss_once_sparsely(self, monkeypatch):
+        graph = _gadget_graph(DENSE_BALL_MAX_NODES + 1)
+        calls = self.count_searches(monkeypatch)
+        oracle = CompiledDistanceMatrix(graph, bits_cache_size=None)
+        compiled = oracle.snapshot
+        sources = range(0, compiled.num_nodes, 97)
+        for _ in range(2):
+            self.request_every_ball(oracle, compiled, sources)
+        misses = len(oracle._bits_lru)
+        assert misses == 2 * len(BALL_BOUNDS) * len(sources)
+        assert len(calls["ball_nodes"]) == misses
+        assert all(type(ball) is tuple for ball in calls["ball_nodes"])
+        assert calls["ball_bits"] == []
+
+    @pytest.mark.parametrize("width", [24, DENSE_BALL_MAX_NODES + 1])
+    def test_sanitizer_checks_both_forms(self, width, monkeypatch):
+        monkeypatch.setattr(sanitize, "ENABLED", True)
+        checked = []
+        primed = sanitize.primed_ball
+
+        def recording(ball, num_nodes):
+            checked.append(type(ball))
+            primed(ball, num_nodes)
+
+        monkeypatch.setattr(sanitize, "primed_ball", recording)
+        graph = _gadget_graph(width)
+        oracle = CompiledDistanceMatrix(graph, bits_cache_size=None)
+        compiled = oracle.snapshot
+        self.request_every_ball(oracle, compiled, range(0, width, 7))
+        assert len(checked) == len(oracle._bits_lru) > 0
+        assert set(checked) == {int if width <= DENSE_BALL_MAX_NODES else tuple}

@@ -130,7 +130,8 @@ class TestArmedFaults:
 
         assert schedule(11) == schedule(11)
         assert schedule(11) != schedule(12)
-        # The salt (worker id) deterministically diverges sibling streams.
+        # The salt (a pool's fork serial) deterministically diverges
+        # sibling streams.
         assert schedule(11, salt=1) == schedule(11, salt=1)
         assert schedule(11, salt=1) != schedule(11, salt=2)
 

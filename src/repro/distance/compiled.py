@@ -9,15 +9,14 @@ core.  Following the flat-representation playbook of compiled query engines,
 this module keeps the whole hot path in interned-id/array space:
 
 * :class:`FlatBFSKernel` — a reusable breadth-first kernel over a
-  :class:`~repro.graph.compiled.CompiledGraph` with two ball forms.  The
-  dense form emits a Python-int bitset from a *level-synchronised* search
-  whose frontier is itself a bitset: each step ORs whole cached neighbour
-  rows (word-parallel C work) instead of touching edges one by one, which
-  is what beats the dict BFS in CPython.  The sparse form walks a
-  per-snapshot tuple-decoded CSR and emits a tuple of interned indices.
-  Dense distance rows copy an all ``-1`` ``array('i')`` template (one
-  C-level memcpy) and let the row double as the visited set.  No dict of
-  node ids is ever touched.
+  :class:`~repro.graph.compiled.CompiledGraph`.  The dense ball search
+  emits a Python-int bitset from a *level-synchronised* search whose
+  frontier is itself a bitset: each step ORs whole cached neighbour rows
+  (word-parallel C work) instead of touching edges one by one, which is
+  what beats the dict BFS in CPython.  The sparse ball search and the
+  dense distance rows walk a per-snapshot tuple-decoded CSR; a row copies
+  an all ``-1`` ``array('i')`` template (one C memcpy) and doubles as the
+  visited set.  No dict of node ids is ever touched.
 
 * :class:`CompiledDistanceMatrix` — a :class:`~repro.distance.oracle.DistanceOracle`
   whose rows are *lazily* computed per-source ``array('i')`` vectors behind
@@ -25,8 +24,9 @@ this module keeps the whole hot path in interned-id/array space:
   full column map is never built.  It is the default oracle of
   :func:`~repro.matching.bounded.match`: together with the worklist
   refinement it computes balls only for live candidates instead of all
-  ``|V|^2`` pairs.  Each ball is searched once: as a bitset (at most
-  1 KiB) up to :data:`DENSE_BALL_MAX_NODES` nodes, as an index tuple above.
+  ``|V|^2`` pairs.  Each ball is searched once, densely up to
+  :data:`DENSE_BALL_MAX_NODES` nodes (a bitset of at most 1 KiB) and
+  sparsely above (see :meth:`FlatBFSKernel.ball_nodes`).
 
 The matrix, BFS and 2-hop oracles stay available for the paper's Exp-2
 comparisons.  The incremental procedures (``UpdateM`` repairs a fully
@@ -38,11 +38,11 @@ or :func:`~repro.distance.incremental.build_store`, which fill an
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple, Union
 
 from repro.analysis import sanitize as _sanitize
 from repro.exceptions import DistanceOracleError, NodeNotFoundError
-from repro.graph.compiled import CompiledGraph, compile_graph
+from repro.graph.compiled import CompiledGraph, compile_graph, indices_to_bits
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.distance.oracle import (
     DEFAULT_BITS_CACHE_SIZE,
@@ -60,10 +60,9 @@ __all__ = ["FlatBFSKernel", "CompiledDistanceMatrix", "DEFAULT_ROW_CACHE_SIZE"]
 #: :class:`CompiledDistanceMatrix` (each is a dense ``array('i')`` of |V|).
 DEFAULT_ROW_CACHE_SIZE = 512
 
-#: Widest snapshot whose balls :class:`CompiledDistanceMatrix` searches and
-#: memoises as bitsets: 8192 bits is 1 KiB, no bigger than the 128-entry
-#: index tuple a sparse ball of that size would be.  Wider snapshots use
-#: the sparse :meth:`FlatBFSKernel.ball_nodes` walk.
+#: Widest snapshot whose balls :class:`CompiledDistanceMatrix` searches as
+#: bitsets: 8192 bits is 1 KiB, no bigger than a 128-entry index tuple.
+#: Wider snapshots use the sparse :meth:`FlatBFSKernel.ball_nodes` walk.
 DENSE_BALL_MAX_NODES = 8192
 
 
@@ -199,26 +198,25 @@ class FlatBFSKernel:
 
     def ball_nodes(
         self, source: int, bound: Optional[int], *, reverse: bool = False
-    ) -> Tuple[int, ...]:
-        """The ball of :meth:`ball_bits` as a tuple of interned indices.
+    ) -> Union[Tuple[int, ...], int]:
+        """The ball of :meth:`ball_bits`, searched sparsely, in its smaller form.
 
-        The sparse form, for snapshots wider than
-        :data:`DENSE_BALL_MAX_NODES`: the search walks the tuple-decoded CSR
-        and touches only the edges inside the ball, instead of OR-ing
-        ``|V|``-bit integers per frontier node, and the result costs a few
-        bytes per member instead of a ``|V|/8``-byte bitset — which is what
-        makes memoising *every* ball of a large batch workload affordable.
-        Semantics are identical to :meth:`ball_bits` (nonempty paths;
-        *source* included only via a cycle within the bound).
+        The walk follows the tuple-decoded CSR and touches only the edges
+        inside the ball, instead of OR-ing ``|V|``-bit integers per frontier
+        node.  A ball of at most ``|V|/64`` members comes back as a tuple of
+        interned indices, 8 bytes per member instead of a ``|V|/8``-byte
+        bitset, which makes memoising *every* ball of a large batch workload
+        affordable; a bigger ball comes back as the bitset, which is then
+        the smaller form and is intersected word-parallel by consumers.
         """
         if bound is not None and bound <= 0:
             return ()
         adjacency = self.adjacency_tuples(reverse)
+        width = self.compiled.num_nodes
         seen = {source}
         seen_add = seen.add
         frontier = [source]
         out: List[int] = []
-        append = out.append
         hit_source = False
         depth = 0
         while frontier and (bound is None or depth < bound):
@@ -230,12 +228,14 @@ class FlatBFSKernel:
                     if j not in seen:
                         seen_add(j)
                         next_append(j)
-                        append(j)
                     elif j == source:
                         hit_source = True
+            out += next_frontier
             frontier = next_frontier
         if hit_source:
-            append(source)
+            out.append(source)
+        if len(out) > width >> 6:
+            return indices_to_bits(out, width)
         return tuple(out)
 
     # ------------------------------------------------------------------
@@ -283,10 +283,9 @@ class CompiledDistanceMatrix(DistanceOracle):
       that row are array reads.
     * ``ancestors_*`` queries materialise a *column* the same way — one
       on-demand reverse BFS — instead of maintaining a full column map.
-    * bounded balls come straight from the snapshot's
-      :class:`FlatBFSKernel`, one search per miss in the form chosen by
-      the snapshot's width (see :meth:`_compact_ball`), and are memoised
-      in the shared :class:`~repro.distance.oracle.BoundedBitsCache`.
+    * bounded balls come from one :class:`FlatBFSKernel` search per miss
+      (see :meth:`_compact_ball`) and are memoised in the shared
+      :class:`~repro.distance.oracle.BoundedBitsCache`.
 
     Staleness follows the graph's ``version`` counter: any mutation drops
     the caches and re-pins the snapshot on the next query.  Bitset queries
@@ -404,30 +403,26 @@ class CompiledDistanceMatrix(DistanceOracle):
         return dist if dist >= 0 else INF
 
     def descendants_within(self, source: NodeId, bound: Optional[int]) -> Set[NodeId]:
-        compiled = self._sync()
-        ball = self._compact_ball(compiled.id_of(source), bound, True)
-        if type(ball) is tuple:
-            node_of = compiled.node_of
-            return {node_of(i) for i in ball}
-        return compiled.decode(ball)
+        return self._ball_set(source, bound, True)
 
     def ancestors_within(self, target: NodeId, bound: Optional[int]) -> Set[NodeId]:
+        return self._ball_set(target, bound, False)
+
+    def _ball_set(self, node: NodeId, bound: Optional[int], forward: bool) -> Set[NodeId]:
         compiled = self._sync()
-        ball = self._compact_ball(compiled.id_of(target), bound, False)
+        ball = self._compact_ball(compiled.id_of(node), bound, forward)
         if type(ball) is tuple:
-            node_of = compiled.node_of
-            return {node_of(i) for i in ball}
+            return set(map(compiled.node_of, ball))
         return compiled.decode(ball)
 
     def _compact_ball(self, index: int, bound: Optional[int], forward: bool):
         """The memoised ball of ``(index, bound)`` — bitset or tuple of indices.
 
-        A miss runs exactly one kernel search, in the form :meth:`_sync`
-        chose for the snapshot: :meth:`FlatBFSKernel.ball_bits` when the
-        snapshot has at most :data:`DENSE_BALL_MAX_NODES` nodes (a bitset of
-        at most 1 KiB), :meth:`FlatBFSKernel.ball_nodes` above that, where
-        an index tuple keeps a session's memo of *every* ball of a big batch
-        workload small.  Consumers dispatch on the value's type.
+        A miss runs exactly one kernel search, chosen by :meth:`_sync` from
+        the snapshot's width: :meth:`FlatBFSKernel.ball_bits` up to
+        :data:`DENSE_BALL_MAX_NODES` nodes (a bitset of at most 1 KiB),
+        :meth:`FlatBFSKernel.ball_nodes` above (a tuple while the ball has at
+        most ``|V|/64`` members, else a bitset).  Consumers dispatch on type.
         """
         self._sync()
         key = (index, bound, forward)

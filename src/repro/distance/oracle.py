@@ -185,10 +185,7 @@ class DistanceOracle(ABC):
         Returns either an ``int`` bitset (the :meth:`descendants_within_bits`
         contract) or a tuple of interned indices — the refinement hot path
         (:func:`repro.matching.bounded.refine_bits_to_fixpoint`) dispatches
-        on the type.  The sparse form exists so oracles over large graphs
-        can memoise balls at a few hundred bytes each; the default simply
-        forwards to the dense method, so every legacy oracle keeps working
-        unchanged.
+        on the type.  The default forwards to the dense method.
         """
         return self.descendants_within_bits(compiled, source, bound)
 

@@ -287,11 +287,7 @@ class WorkerPool:
         return True
 
     def _make_worker(self, context, worker_id: int):
-        """Fork one worker for *worker_id*, salted with this pool's fork serial.
-
-        A replacement thus draws a fresh fault schedule instead of
-        replaying its predecessor's.
-        """
+        """Fork a worker for *worker_id*, fault-salted with the pool's fork serial."""
         global _WORKER_SESSION
         _WORKER_SESSION = self._session
         try:

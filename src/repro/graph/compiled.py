@@ -62,6 +62,7 @@ __all__ = [
     "compile_graph",
     "iter_bits",
     "bits_to_indices",
+    "indices_to_bits",
 ]
 
 
@@ -77,6 +78,10 @@ def iter_bits(bits: int) -> Iterator[int]:
 _BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
     tuple(offset for offset in range(8) if byte >> offset & 1) for byte in range(256)
 )
+
+
+#: The bytes 0 and 1 as the digits "0" and "1", for :func:`indices_to_bits`.
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def bits_to_indices(bits: int) -> List[int]:
@@ -105,6 +110,18 @@ def bits_to_indices(bits: int) -> List[int]:
                 extend([base + offset for offset in entry])
         base += 8
     return out
+
+
+def indices_to_bits(indices: Iterable[int], width: int) -> int:
+    """The bitset of *indices* (each below *width*), read in C from one byte per node.
+
+    A fixed ``O(width)`` cost: it beats OR-ing one bit at a time for sets of
+    more than about ``width/64`` indices.
+    """
+    buffer = bytearray(width)
+    for i in indices:
+        buffer[i] = 1
+    return int(buffer.translate(_BINARY_DIGITS)[::-1] or b"0", 2)
 
 
 class CompiledGraph:

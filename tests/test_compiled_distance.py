@@ -421,12 +421,20 @@ class TestBoundedBitsCache:
 BALL_BOUNDS = [1, 2, 3, None]
 
 
+#: Blocks the hub of :func:`_gadget_graph` fans out to.
+FAN_BLOCKS = 200
+
+
 def _gadget_graph(width: int) -> DataGraph:
-    """*width* nodes in blocks of six, so every ball stays small.
+    """*width* nodes in blocks of six, with one hub whose balls grow big.
 
     Per block ``b``: a chain ``b -> b+1 -> b+2 -> b+3``, a self-loop on
     ``b+1``, a 2-cycle ``b+2 <-> b+3``, an edge ``b+4 -> b`` into the chain
-    and an isolated ``b+5`` whose balls are empty in both directions.
+    and an isolated ``b+5`` whose balls are empty in both directions.  The
+    hub ``4`` also points at the first :data:`FAN_BLOCKS` later blocks'
+    ``b`` and is pointed at by their ``b+1`` (a 3-cycle through the hub),
+    so balls around it outgrow the ``|V|/64`` members a sparse ball keeps
+    as a tuple.
     """
     graph = DataGraph()
     for i in range(width):
@@ -435,6 +443,8 @@ def _gadget_graph(width: int) -> DataGraph:
     for b in range(0, width, 6):
         edges += [(b, b + 1), (b + 1, b + 2), (b + 2, b + 3), (b + 1, b + 1)]
         edges += [(b + 3, b + 2), (b + 4, b)]
+    for b in range(6, 6 * (FAN_BLOCKS + 1), 6):
+        edges += [(4, b), (b + 1, 4)]
     for source, target in edges:
         if max(source, target) < width:
             graph.add_edge(source, target)
@@ -456,7 +466,14 @@ class TestBallForm:
         compiled = oracle.snapshot
         kernel = compiled.flat_kernel()
         dense = compiled.num_nodes <= DENSE_BALL_MAX_NODES
+        limit = compiled.num_nodes >> 6
         node_of = compiled.node_of
+
+        def as_set(ball):
+            if type(ball) is int:
+                return compiled.decode(ball)
+            assert len(set(ball)) == len(ball)
+            return {node_of(i) for i in ball}
         for node in gadget_graph.nodes():
             index = compiled.id_of(node)
             for bound in BALL_BOUNDS:
@@ -465,18 +482,16 @@ class TestBallForm:
                         want = gadget_graph.descendants_within(node, bound)
                     else:
                         want = gadget_graph.ancestors_within(node, bound)
+                    # A sparse ball stays a tuple up to |V|/64 members.
+                    small = len(want) <= limit
                     ball = oracle._compact_ball(index, bound, forward)
-                    assert type(ball) is (int if dense else tuple)
+                    assert type(ball) is (tuple if small and not dense else int)
                     bits = kernel.ball_bits(index, bound, reverse=not forward)
                     nodes = kernel.ball_nodes(index, bound, reverse=not forward)
-                    assert len(set(nodes)) == len(nodes)
+                    assert type(nodes) is (tuple if small else int)
                     assert compiled.decode(bits) == want, (node, bound, forward)
-                    assert {node_of(i) for i in nodes} == want, (node, bound, forward)
-                    if dense:
-                        chosen = compiled.decode(ball)
-                    else:
-                        chosen = {node_of(i) for i in ball}
-                    assert chosen == want, (node, bound, forward)
+                    assert as_set(nodes) == want, (node, bound, forward)
+                    assert as_set(ball) == want, (node, bound, forward)
 
     def test_gadget_covers_the_corner_cases(self, gadget_graph):
         # Self-loop, 2-cycle and an empty ball, in both forms.
@@ -485,6 +500,12 @@ class TestBallForm:
         assert 2 not in gadget_graph.descendants_within(2, 1)
         assert gadget_graph.descendants_within(5, None) == set()
         assert gadget_graph.ancestors_within(5, None) == set()
+        # The hub's balls outgrow the sparse limit above the threshold.
+        limit = (DENSE_BALL_MAX_NODES + 1) >> 6
+        assert len(gadget_graph.descendants_within(4, 1)) > limit
+        assert len(gadget_graph.ancestors_within(4, 1)) > limit
+        assert 4 in gadget_graph.descendants_within(4, 3)
+        assert 4 not in gadget_graph.descendants_within(4, 2)
 
 
 class TestOneSearchPerMiss:
@@ -534,13 +555,15 @@ class TestOneSearchPerMiss:
         calls = self.count_searches(monkeypatch)
         oracle = CompiledDistanceMatrix(graph, bits_cache_size=None)
         compiled = oracle.snapshot
-        sources = range(0, compiled.num_nodes, 97)
+        sources = [4, *range(0, compiled.num_nodes, 97)]  # the hub, and block heads
         for _ in range(2):
             self.request_every_ball(oracle, compiled, sources)
         misses = len(oracle._bits_lru)
         assert misses == 2 * len(BALL_BOUNDS) * len(sources)
         assert len(calls["ball_nodes"]) == misses
-        assert all(type(ball) is tuple for ball in calls["ball_nodes"])
+        # Small balls stay tuples; big ones come back as bitsets from the
+        # same walk, never from a second search.
+        assert {type(ball) for ball in calls["ball_nodes"]} == {tuple, int}
         assert calls["ball_bits"] == []
 
     @pytest.mark.parametrize("width", [24, DENSE_BALL_MAX_NODES + 1])
@@ -557,6 +580,6 @@ class TestOneSearchPerMiss:
         graph = _gadget_graph(width)
         oracle = CompiledDistanceMatrix(graph, bits_cache_size=None)
         compiled = oracle.snapshot
-        self.request_every_ball(oracle, compiled, range(0, width, 7))
+        self.request_every_ball(oracle, compiled, [4, *range(0, width, 7)])
         assert len(checked) == len(oracle._bits_lru) > 0
-        assert set(checked) == {int if width <= DENSE_BALL_MAX_NODES else tuple}
+        assert set(checked) == ({int} if width <= DENSE_BALL_MAX_NODES else {int, tuple})

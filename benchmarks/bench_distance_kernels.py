@@ -1,4 +1,4 @@
-"""Legacy-vs-compiled distance engine ratios (the distance BENCH trajectory).
+"""Eager-vs-compiled distance engine ratios (the distance BENCH trajectory).
 
 Three old-vs-new comparisons at the fig6(f)-(h) smoke sizes
 (|V|=1000, |E|=3000, 100 labels, bound k=3), each recorded into
@@ -6,18 +6,14 @@ Three old-vs-new comparisons at the fig6(f)-(h) smoke sizes
 ``extra_info``:
 
 * **ball queries** — answering a batch of bounded descendant/ancestor balls
-  through the legacy precomputed :class:`DistanceMatrix` (which must build
+  through the eager precomputed :class:`DistanceMatrix` (which must build
   all of ``M`` first) vs the lazy :class:`CompiledDistanceMatrix`
   (gate: >= 5x);
 * **per-ball kernel** — one dict-based ``DataGraph`` BFS vs one flat-kernel
   ball, no construction on either side (gate: >= 1x, the CI regression
   floor);
-* **full-M build** — producing the IncMatch-ready interned store: legacy
-  ``DistanceMatrix`` refresh + ``InternedDistanceStore.from_matrix`` re-key
-  vs :func:`repro.distance.incremental.build_store` over a fresh snapshot
-  (gate: >= 1x);
-* **match precompute** — ``match()`` end-to-end with a freshly built legacy
-  matrix (the old default) vs the current default compiled oracle
+* **match precompute** — ``match()`` end-to-end with a freshly built eager
+  ``M`` (the old default) vs the current default compiled oracle
   (gate: >= 3x).
 
 One further case measures scale rather than a ratio: the **store scale**
@@ -41,7 +37,7 @@ from conftest import best_of
 from repro.datasets.synthetic_real import youtube_graph
 from repro.distance.compiled import CompiledDistanceMatrix
 from repro.distance.incremental import build_store
-from repro.distance.matrix import DistanceMatrix, InternedDistanceStore
+from repro.distance.matrix import DistanceMatrix
 from repro.graph.compiled import CompiledGraph, compile_graph
 from repro.graph.generators import random_data_graph
 from repro.graph.pattern_generator import PatternGenerator
@@ -99,7 +95,7 @@ def _record(benchmark, name: str, legacy_s: float, compiled_s: float) -> float:
 
 
 def test_bench_ball_queries_legacy_vs_compiled(benchmark, setup):
-    """Bounded-ball batch through a fresh oracle: eager matrix vs lazy engine."""
+    """Bounded-ball batch through a fresh oracle: eager ``M`` vs lazy engine."""
     graph, sample = setup
 
     def legacy_run():
@@ -119,7 +115,7 @@ def test_bench_ball_queries_legacy_vs_compiled(benchmark, setup):
     compiled_s = best_of(compiled_run, repeats=3)
     speedup = _record(benchmark, "ball_queries", legacy_s, compiled_s)
     # Acceptance gate of the compiled distance engine.
-    assert speedup >= 5.0, f"lazy ball queries only {speedup:.1f}x faster than legacy matrix"
+    assert speedup >= 5.0, f"lazy ball queries only {speedup:.1f}x faster than eager M"
 
 
 def test_bench_per_ball_kernel_vs_dict_bfs(benchmark, setup):
@@ -148,29 +144,8 @@ def test_bench_per_ball_kernel_vs_dict_bfs(benchmark, setup):
     assert speedup >= 1.0, f"flat kernel slower than dict BFS ({speedup:.2f}x)"
 
 
-def test_bench_full_matrix_build(benchmark, setup):
-    """Building the IncMatch store: legacy matrix + re-key vs the flat builder."""
-    graph, _ = setup
-
-    def legacy_run():
-        # Dict BFS per node, then re-key every finite pair into the
-        # interned store.
-        matrix = DistanceMatrix(graph)
-        return InternedDistanceStore.from_matrix(matrix, compile_graph(graph))
-
-    def compiled_run():
-        # A fresh snapshot per round so compile + kernel costs are included.
-        return build_store(CompiledGraph.from_graph(graph))
-
-    benchmark.pedantic(compiled_run, rounds=2, iterations=1)
-    legacy_s = best_of(legacy_run, repeats=2)
-    compiled_s = best_of(compiled_run, repeats=2)
-    speedup = _record(benchmark, "full_matrix_build", legacy_s, compiled_s)
-    assert speedup >= 1.0, f"compiled full-M build slower than legacy ({speedup:.2f}x)"
-
-
 def test_bench_match_precompute_end_to_end(benchmark, setup):
-    """match() including distance precompute: legacy matrix default vs compiled."""
+    """match() including distance precompute: eager ``M`` (old default) vs compiled."""
     graph, _ = setup
     generator = PatternGenerator(graph, seed=SEED)
     patterns = [generator.generate(6, 6, BOUND) for _ in range(2)]

@@ -46,7 +46,7 @@ class FactorisedView:
     edge certificates actually asked for.
     """
 
-    __slots__ = ("_pattern", "_result", "_graph", "_oracle", "_columns", "_certs")
+    __slots__ = ("_pattern", "_result", "_graph", "_oracle", "_column_cache", "_certs")
 
     def __init__(
         self,
@@ -60,7 +60,7 @@ class FactorisedView:
         self._result = result
         self._graph = graph
         self._oracle = oracle
-        self._columns: Dict[PatternNodeId, List[NodeId]] = {}
+        self._column_cache: Dict[PatternNodeId, List[NodeId]] = {}
         self._certs: Dict[
             Tuple[PatternNodeId, PatternNodeId], Dict[NodeId, FrozenSet[NodeId]]
         ] = {}
@@ -79,10 +79,10 @@ class FactorisedView:
 
     def column(self, pattern_node: PatternNodeId) -> List[NodeId]:
         """The sorted candidate column of one pattern node (cached)."""
-        column = self._columns.get(pattern_node)
+        column = self._column_cache.get(pattern_node)
         if column is None:
             column = sorted(self._result.matches(pattern_node), key=_sort_key)
-            self._columns[pattern_node] = column
+            self._column_cache[pattern_node] = column
         return column
 
     def columns(self) -> Dict[PatternNodeId, List[NodeId]]:

@@ -17,9 +17,11 @@ identical answers (the equivalence suites assert it):
 
 :class:`~repro.distance.matrix.DistanceMatrix`
     The paper's precomputed matrix ``M`` — one BFS per node, O(1) lookups,
-    ``O(|V|^2)`` memory.  The paper's Exp-2 ``Match`` baseline, and still
-    the right call when *every* pair will be queried many times.
-    ``refresh()`` builds rows only; columns materialise lazily per sink.
+    one byte per pair.  A node-id view over an
+    :class:`~repro.distance.matrix.InternedDistanceStore` of its own, so
+    distances are limited to 254 hops.  The paper's Exp-2 ``Match``
+    baseline, and still the right call when *every* pair will be queried
+    many times.
 
 :class:`~repro.distance.bfs.BFSDistanceOracle`
     On-demand memoised BFS — no precompute at all.  The paper's ``BFS``
@@ -35,15 +37,13 @@ identical answers (the equivalence suites assert it):
 Staleness/epoch rules: every oracle watches its graph's ``version`` counter
 and drops derived state when it moves (``DistanceMatrix`` requires an
 explicit ``refresh()``, by contract).  Bitset queries additionally check
-that the snapshot they are handed was compiled from the oracle's graph at
-the current version; anything else falls back to a slow, correct path.  All
-bitset memos share the size-capped
-:class:`~repro.distance.oracle.BoundedBitsCache` LRU.
+that the snapshot they are handed is the one the oracle answers from;
+anything else falls back to a slow, correct path.  All bitset memos share
+the size-capped :class:`~repro.distance.oracle.BoundedBitsCache` LRU.
 
-For IncMatch, :func:`~repro.distance.incremental.build_store` (or
-:meth:`CompiledDistanceMatrix.to_store`) hands the repair procedures a fully
-populated :class:`~repro.distance.matrix.InternedDistanceStore` built by the
-flat kernel.
+For IncMatch, :func:`~repro.distance.incremental.build_store` hands the
+repair procedures a fully populated
+:class:`~repro.distance.matrix.InternedDistanceStore`.
 """
 
 from repro.distance.bfs import BFSDistanceOracle

@@ -1,12 +1,11 @@
 """Compiled distance engine: flat BFS kernels and a lazy ball index.
 
-The distance subsystem was the last uncompiled layer of the matching stack:
-:class:`~repro.distance.matrix.DistanceMatrix` runs one dict-based BFS per
-node over the legacy :class:`~repro.graph.datagraph.DataGraph` and eagerly
-materialises ``O(|V|^2)`` dict entries, which dominates ``match()``
-precompute even though the refinement itself already runs on the CSR/bitset
-core.  Following the flat-representation playbook of compiled query engines,
-this module keeps the whole hot path in interned-id/array space:
+The paper's :class:`~repro.distance.matrix.DistanceMatrix` computes all of
+``M`` up front — one BFS per node, ``O(|V|^2)`` cells — which dominates
+``match()`` precompute even though the refinement itself runs on the
+CSR/bitset core.  Following the flat-representation playbook of compiled
+query engines, this module keeps the whole hot path in interned-id/array
+space and computes only what a query touches:
 
 * :class:`FlatBFSKernel` — a reusable breadth-first kernel over a
   :class:`~repro.graph.compiled.CompiledGraph`.  The dense ball search
@@ -30,15 +29,16 @@ this module keeps the whole hot path in interned-id/array space:
 
 The matrix, BFS and 2-hop oracles stay available for the paper's Exp-2
 comparisons.  The incremental procedures (``UpdateM`` repairs a fully
-materialised ``M``) get theirs from :meth:`CompiledDistanceMatrix.to_store`
-or :func:`~repro.distance.incremental.build_store`, which fill an
-:class:`~repro.distance.matrix.InternedDistanceStore` with the flat kernel.
+materialised ``M``) get theirs from
+:func:`~repro.distance.incremental.build_store`, which fills an
+:class:`~repro.distance.matrix.InternedDistanceStore` over the snapshot's
+adjacency.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from repro.analysis import sanitize as _sanitize
 from repro.exceptions import DistanceOracleError, NodeNotFoundError
@@ -51,12 +51,9 @@ from repro.distance.oracle import (
     DistanceOracle,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.distance.matrix import InternedDistanceStore
-
 __all__ = ["FlatBFSKernel", "CompiledDistanceMatrix", "DEFAULT_ROW_CACHE_SIZE"]
 
-#: Default cap on the number of cached distance rows/columns of
+#: Cap on the number of cached distance rows/columns of
 #: :class:`CompiledDistanceMatrix` (each is a dense ``array('i')`` of |V|).
 DEFAULT_ROW_CACHE_SIZE = 512
 
@@ -296,8 +293,6 @@ class CompiledDistanceMatrix(DistanceOracle):
     ----------
     graph:
         The data graph.
-    max_rows:
-        Cap on cached rows + columns (dense vectors); ``None`` = unbounded.
     bits_cache_size:
         Cap on memoised ball bitsets (see :class:`BoundedBitsCache`).
     """
@@ -306,15 +301,12 @@ class CompiledDistanceMatrix(DistanceOracle):
         self,
         graph: DataGraph,
         *,
-        max_rows: Optional[int] = DEFAULT_ROW_CACHE_SIZE,
         bits_cache_size: int = DEFAULT_BITS_CACHE_SIZE,
         bits_cache: Optional["BoundedBitsCache"] = None,
     ) -> None:
         super().__init__(graph, bits_cache_size=bits_cache_size, bits_cache=bits_cache)
-        if max_rows is not None and max_rows < 1:
-            raise DistanceOracleError(f"max_rows must be positive, got {max_rows}")
         # (index, forward?) -> dense array('i') distance vector.
-        self._rows_lru = BoundedBitsCache(max_rows)
+        self._rows_lru = BoundedBitsCache(DEFAULT_ROW_CACHE_SIZE)
         self._compiled: Optional[CompiledGraph] = None
         self._kernel: Optional[FlatBFSKernel] = None
         self._synced_version: Optional[int] = None
@@ -477,18 +469,3 @@ class CompiledDistanceMatrix(DistanceOracle):
         if compiled is self._compiled:
             return self._compact_ball(source, bound, True)
         return super().descendants_compact(compiled, source, bound)
-
-    # ------------------------------------------------------------------
-    # IncMatch handoff
-    # ------------------------------------------------------------------
-
-    def to_store(self) -> "InternedDistanceStore":
-        """A fully populated interned store for the incremental machinery.
-
-        ``UpdateM``/``UpdateBM`` repair a complete matrix in place, so the
-        handoff materialises every row (one flat BFS per node) — see
-        :func:`repro.distance.incremental.build_store`.
-        """
-        from repro.distance.incremental import build_store
-
-        return build_store(self._sync())

@@ -125,10 +125,8 @@ def build_store(compiled: "CompiledGraph") -> InternedDistanceStore:
     start from.  This runs one BFS per node over the snapshot's
     tuple-decoded adjacency (patch overlay included); each row is a
     ``bytearray`` that doubles as the visited set and is copied into the
-    store's cells in one slice assignment.  It produces the same store as
-    re-keying a :class:`DistanceMatrix` with
-    :meth:`InternedDistanceStore.from_matrix` (the equivalence suite asserts
-    it), without the NodeId-keyed intermediate.
+    store's cells in one slice assignment.  It is also what
+    :meth:`~repro.distance.matrix.DistanceMatrix.refresh` runs.
 
     Raises :class:`~repro.exceptions.DistanceOverflowError` when some
     shortest path is longer than :data:`MAX_STORED_DISTANCE` hops, so no

@@ -3,37 +3,26 @@
 Algorithm ``Match`` (Fig. 4, line 1) precomputes the distance between every
 pair of nodes so that each bounded-connectivity check is O(1).  The matrix is
 computed with one BFS per node — ``O(|V| (|V| + |E|))`` for unweighted graphs,
-matching the paper's analysis — and stored sparsely (only finite entries).
+matching the paper's analysis.
 
-Both a forward index (``row(u) = {v: dist(u, v)}``) and a reverse index
-(``column(v) = {u: dist(u, v)}``) are available: the matching algorithm needs
-descendant queries (rows) and ancestor queries (columns) with equal
-frequency.  :meth:`DistanceMatrix.refresh` computes **rows only**; a column
-is materialised lazily from the rows on first access and kept in sync from
-then on, so a workload that never asks an ancestor query (or asks about a
-few sinks) does not pay the second ``O(|V|^2)`` dict build.
-
-:class:`InternedDistanceStore` holds the same matrix keyed by the interned
-ids of a compiled snapshot, densely: one flat ``bytearray`` of ``n x n``
-one-byte cells (255 = unreachable), so rows and columns are C-speed slices
-and distances are limited to 254 hops.  It is what the incremental
-procedures ``UpdateM`` / ``UpdateBM`` (see :mod:`repro.distance.incremental`)
-repair in place.
+:class:`InternedDistanceStore` holds ``M`` keyed by the interned ids of a
+compiled snapshot, densely: one flat ``bytearray`` of ``n x n`` one-byte
+cells (255 = unreachable), so rows and columns are C-speed slices and
+distances are limited to 254 hops.  It is what the incremental procedures
+``UpdateM`` / ``UpdateBM`` (see :mod:`repro.distance.incremental`) repair in
+place.  :class:`DistanceMatrix` is the node-id view over a store of its own,
+the oracle the paper's Exp-2 compares as "matrix".
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Set, Tuple
 
 from repro.exceptions import DistanceOracleError, DistanceOverflowError
+from repro.graph.compiled import compile_graph
 from repro.graph.datagraph import DataGraph, NodeId
-from repro.distance.oracle import (
-    DEFAULT_BITS_CACHE_SIZE,
-    INF,
-    BoundedBitsCache,
-    DistanceOracle,
-)
+from repro.distance.oracle import INF, DistanceOracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.compiled import CompiledGraph
@@ -49,52 +38,54 @@ __all__ = [
 class DistanceMatrix(DistanceOracle):
     """Precomputed all-pairs shortest-path distances with O(1) lookups.
 
+    A node-id view over one :class:`InternedDistanceStore` that the view
+    owns: :meth:`refresh` builds it with
+    :func:`~repro.distance.incremental.build_store` (one BFS per node), so
+    every query is a cell read through the snapshot's interning.  The store
+    is never the snapshot's shared :meth:`~repro.graph.compiled.CompiledGraph.distance_store`,
+    so an IncMatch repair cannot change the view's answers behind its back.
+
     Parameters
     ----------
     graph:
         The data graph.  The matrix snapshots the graph at construction time;
-        call :meth:`refresh` after arbitrary mutations, or use the incremental
-        update procedures for edge insertions/deletions.
+        call :meth:`refresh` after mutations.  Until then the answers are the
+        ones of the snapshot, and a node added since answers :data:`INF` (or
+        an empty ball).
+
+    Raises
+    ------
+    DistanceOverflowError
+        When some shortest path is longer than :data:`MAX_STORED_DISTANCE`
+        hops, the store's cell limit.
     """
 
-    def __init__(
-        self, graph: DataGraph, *, bits_cache_size: int = DEFAULT_BITS_CACHE_SIZE
-    ) -> None:
-        super().__init__(graph, bits_cache_size=bits_cache_size)
-        self._rows: Dict[NodeId, Dict[NodeId, int]] = {}
-        self._columns: Dict[NodeId, Dict[NodeId, int]] = {}
-        self._graph_version = -1
+    def __init__(self, graph: DataGraph) -> None:
+        super().__init__(graph)
         self.refresh()
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-
     def refresh(self) -> None:
-        """Recompute the rows from the current graph (one BFS per node).
+        """Rebuild the store from the current graph (one BFS per node)."""
+        from repro.distance.incremental import build_store
 
-        Columns are *not* rebuilt here: the reverse index is materialised
-        lazily per sink on first access (see :meth:`column`), so a refresh
-        does row work only.
-        """
-        # Memoised bitset rows (keyed by (index, bound, forward?)) are
-        # invalidated with the graph version.
-        self._bits_lru.clear()
-        self._bits_cache_version = self._graph.version
         # Self-loop memos taken between a mutation and this refresh were
-        # computed from stale rows (possibly under the current version).
+        # computed from the stale store (possibly under the current version).
         self._self_loop_cache.clear()
         self._self_loop_version = self._graph.version
-        self._rows = {}
-        self._columns = {}
-        for source in self._graph.nodes():
-            self._rows[source] = self._graph.bfs_distances(source)
-        self._graph_version = self._graph.version
+        self._store = build_store(compile_graph(self._graph))
 
     @property
     def in_sync(self) -> bool:
-        """``True`` when the matrix was built/updated for the graph's current version."""
-        return self._graph_version == self._graph.version
+        """``True`` when the matrix was built for the graph's current version."""
+        return self._store.version == self._graph.version
+
+    def _index(self, node: NodeId) -> Optional[int]:
+        """The store index of *node*, or ``None`` when the build predates it."""
+        compiled = self._store.compiled
+        if node not in compiled:
+            return None
+        index = compiled.id_of(node)
+        return index if index < self._store.num_nodes else None
 
     # ------------------------------------------------------------------
     # DistanceOracle interface
@@ -102,170 +93,62 @@ class DistanceMatrix(DistanceOracle):
 
     def distance(self, source: NodeId, target: NodeId) -> float:
         """O(1) shortest-path distance lookup."""
-        row = self._rows.get(source)
-        if row is None:
+        i = self._index(source)
+        if i is None:
             if not self._graph.has_node(source):
                 raise DistanceOracleError(f"unknown node {source!r}")
             return INF if source != target else 0
-        return row.get(target, INF)
+        j = self._index(target)
+        if j is None:
+            return INF
+        return self._store.distance(i, j)
 
     def descendants_within(self, source: NodeId, bound: Optional[int]) -> Set[NodeId]:
-        row = self._rows.get(source, {})
-        result = {
-            node
-            for node, dist in row.items()
-            if dist >= 1 and (bound is None or dist <= bound)
-        }
-        if self._on_cycle_within(source, bound):
-            result.add(source)
-        return result
+        index = self._index(source)
+        if index is None:
+            return set()
+        store = self._store
+        return store.compiled.decode(store.descendants_within_bits(store.compiled, index, bound))
 
     def ancestors_within(self, target: NodeId, bound: Optional[int]) -> Set[NodeId]:
-        column = self.column(target)
-        result = {
-            node
-            for node, dist in column.items()
-            if dist >= 1 and (bound is None or dist <= bound)
-        }
-        if self._on_cycle_within(target, bound):
-            result.add(target)
-        return result
+        index = self._index(target)
+        if index is None:
+            return set()
+        store = self._store
+        return store.compiled.decode(store.ancestors_within_bits(store.compiled, index, bound))
 
     def descendants_within_bits(
         self, compiled: "CompiledGraph", source: int, bound: Optional[int]
     ) -> int:
-        if not self._snapshot_is_current(compiled):
-            # Memo keys (interned indices validated by our graph's version)
-            # would be wrong — fall back to the unmemoised set-based
-            # conversion in the snapshot's own id space.
+        store = self._store
+        if compiled is not store.compiled:
+            # Another snapshot's interning may differ from the store's:
+            # answer through the node ids, in that snapshot's id space.
             return super().descendants_within_bits(compiled, source, bound)
-        cache = self._bits_cache_for_version()
-        key = (source, bound, True)
-        bits = cache.get(key)
-        if bits is None:
-            node = compiled.node_of(source)
-            bits = compiled.encode_within(self._rows.get(node, {}), bound)
-            if self._on_cycle_within(node, bound):
-                bits |= 1 << source
-            cache.put(key, bits)
-        return bits
+        if source >= store.num_nodes:
+            return 0
+        return store.descendants_within_bits(compiled, source, bound)
 
     def ancestors_within_bits(
         self, compiled: "CompiledGraph", target: int, bound: Optional[int]
     ) -> int:
-        if not self._snapshot_is_current(compiled):
+        store = self._store
+        if compiled is not store.compiled:
             return super().ancestors_within_bits(compiled, target, bound)
-        cache = self._bits_cache_for_version()
-        key = (target, bound, False)
-        bits = cache.get(key)
-        if bits is None:
-            node = compiled.node_of(target)
-            bits = compiled.encode_within(self.column(node), bound)
-            if self._on_cycle_within(node, bound):
-                bits |= 1 << target
-            cache.put(key, bits)
-        return bits
-
-    def _bits_cache_for_version(self) -> BoundedBitsCache:
-        if self._bits_cache_version != self._graph.version:
-            self._bits_lru.clear()
-            self._bits_cache_version = self._graph.version
-        return self._bits_lru
-
-    def _on_cycle_within(self, node: NodeId, bound: Optional[int]) -> bool:
-        """Whether *node* lies on a directed cycle of length <= *bound*."""
-        limit = None if bound is None else bound - 1
-        for successor in self._graph.successors(node):
-            dist = self.distance(successor, node)
-            if dist != INF and (limit is None or dist <= limit):
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    # raw access used by the incremental procedures
-    # ------------------------------------------------------------------
-
-    def row(self, source: NodeId) -> Dict[NodeId, int]:
-        """The finite distances out of *source* (live dict — do not mutate)."""
-        return self._rows.setdefault(source, {source: 0})
-
-    def column(self, target: NodeId) -> Dict[NodeId, int]:
-        """The finite distances into *target* (live dict — do not mutate).
-
-        Materialised lazily on first access by scanning the rows — *not* by
-        a graph BFS, so the answer is consistent with the matrix state even
-        mid-repair, when the graph has already mutated but the matrix still
-        holds the pre-update distances.  Once materialised, the column is
-        kept in sync by :meth:`set_distance`.
-        """
-        column = self._columns.get(target)
-        if column is None:
-            column = {}
-            for source, row in self._rows.items():
-                dist = row.get(target)
-                if dist is not None:
-                    column[source] = dist
-            self._columns[target] = column
-        return column
-
-    def materialized_columns(self) -> int:
-        """How many columns have been materialised (for tests/diagnostics)."""
-        return len(self._columns)
-
-    def set_distance(self, source: NodeId, target: NodeId, value: float) -> None:
-        """Set ``dist(source, target)``; :data:`INF` removes the entry."""
-        if len(self._bits_lru):
-            self._bits_lru.clear()
-        # Direct matrix mutation can change shortest-cycle lengths without a
-        # graph version bump, so the memoised self-loop distances go too.
-        if self._self_loop_cache:
-            self._self_loop_cache.clear()
-        # Only a materialised column needs the write-through; an
-        # unmaterialised one will pick the value up from the rows.
-        column = self._columns.get(target)
-        if value == INF:
-            self._rows.get(source, {}).pop(target, None)
-            if column is not None:
-                column.pop(source, None)
-            return
-        self._rows.setdefault(source, {})[target] = int(value)
-        if column is not None:
-            column[source] = int(value)
-
-    def ensure_node(self, node: NodeId) -> None:
-        """Make sure *node* has (possibly empty) row/column entries."""
-        self._rows.setdefault(node, {node: 0})
-        column = self._columns.get(node)
-        if column is not None:
-            column.setdefault(node, 0)
+        if target >= store.num_nodes:
+            return 0
+        return store.ancestors_within_bits(compiled, target, bound)
 
     def finite_pairs(self) -> Iterator[Tuple[NodeId, NodeId, int]]:
         """Iterate over all finite ``(source, target, distance)`` triples."""
-        for source, row in self._rows.items():
-            for target, dist in row.items():
-                yield source, target, dist
+        node_of = self._store.compiled.node_of
+        for source, target, dist in self._store.finite_pairs():
+            yield node_of(source), node_of(target), dist
 
     def num_finite_pairs(self) -> int:
-        """The number of finite entries (a proxy for memory use)."""
-        return sum(len(row) for row in self._rows.values())
-
-    def copy(self) -> "DistanceMatrix":
-        """Return a deep copy sharing the same graph reference."""
-        clone = object.__new__(DistanceMatrix)
-        DistanceOracle.__init__(clone, self._graph, bits_cache_size=self._bits_lru.max_size)
-        clone._rows = {source: dict(row) for source, row in self._rows.items()}
-        clone._columns = {target: dict(col) for target, col in self._columns.items()}
-        clone._graph_version = self._graph_version
-        clone._bits_cache_version = self._bits_cache_version
-        return clone
-
-    def equals(self, other: "DistanceMatrix") -> bool:
-        """Structural equality of the finite entries (used by tests)."""
-        mine = {(s, t): d for s, t, d in self.finite_pairs()}
-        theirs = {(s, t): d for s, t, d in other.finite_pairs()}
-        return mine == theirs
-
-
+        """The number of finite entries."""
+        flat = self._store.flat
+        return len(flat) - flat.count(INF_CELL)
 
 
 #: Cell value of an unreachable pair in :class:`InternedDistanceStore`.
@@ -300,7 +183,7 @@ def _within_table(bound: int) -> bytes:
     return bytes(49 if 1 <= cell <= bound else 48 for cell in range(256))
 
 
-def _encode_within(cells: bytearray, bound: Optional[int]) -> int:
+def _bits_within(cells: bytearray, bound: Optional[int]) -> int:
     """Bitset of the positions whose cell satisfies ``1 <= cell <= bound``.
 
     One C-level translate to an ASCII ``0``/``1`` string, reversed so that
@@ -312,7 +195,7 @@ def _encode_within(cells: bytearray, bound: Optional[int]) -> int:
 
 
 class InternedDistanceStore:
-    """The matrix ``M`` re-keyed by the interned ids of a compiled snapshot.
+    """The matrix ``M`` keyed by the interned ids of a compiled snapshot.
 
     The compiled incremental engine repairs distances in the dense integer id
     space of a pinned :class:`~repro.graph.compiled.CompiledGraph`.  ``M`` is
@@ -404,11 +287,14 @@ class InternedDistanceStore:
 
     def _on_cycle_within(self, index: int, bound: Optional[int]) -> bool:
         """Whether *index* lies on a directed cycle of length <= *bound*."""
+        if bound is not None and bound < 1:
+            return False
         limit = MAX_STORED_DISTANCE if bound is None else min(bound - 1, MAX_STORED_DISTANCE)
         n = self.num_nodes
         flat = self.flat
+        # A successor interned after the last growth has no cells yet.
         for successor in self.compiled.successors_indices(index):
-            if successor == index or flat[successor * n + index] <= limit:
+            if successor < n and flat[successor * n + index] <= limit:
                 return True
         return False
 
@@ -422,7 +308,7 @@ class InternedDistanceStore:
         the store can stand in as the oracle of
         :func:`~repro.matching.bounded.refine_bits_to_fixpoint`.
         """
-        bits = _encode_within(self.row(source), bound)
+        bits = _bits_within(self.row(source), bound)
         if self._on_cycle_within(source, bound):
             bits |= 1 << source
         return bits
@@ -431,7 +317,7 @@ class InternedDistanceStore:
         self, compiled: "CompiledGraph", target: int, bound: Optional[int]
     ) -> int:
         """Bitset of nodes reaching *target* within *bound*."""
-        bits = _encode_within(self.column(target), bound)
+        bits = _bits_within(self.column(target), bound)
         if self._on_cycle_within(target, bound):
             bits |= 1 << target
         return bits

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.distance.compiled import DEFAULT_ROW_CACHE_SIZE, CompiledDistanceMatrix
+from repro.distance.compiled import CompiledDistanceMatrix
 from repro.distance.incremental import EdgeUpdate
 from repro.distance.matrix import InternedDistanceStore
 from repro.distance.oracle import (
@@ -107,9 +107,9 @@ class MatchSession:
     on_cyclic:
         Passed through to spawned incremental matchers: ``"raise"``
         (default) or ``"recompute"`` for insertions with cyclic patterns.
-    result_cache_size, bits_cache_size, row_cache_size:
-        Caps for the result cache, the shared ball-bitset LRU and the
-        oracle's dense row LRU (``None`` where accepted = unbounded).
+    result_cache_size, bits_cache_size:
+        Caps for the result cache and the shared ball-bitset LRU (``None``
+        where accepted = unbounded).
     selectivity_order:
         When true (default), plans carry a cost-based edge refinement order
         estimated from the snapshot's attribute-index popcounts and the
@@ -135,7 +135,6 @@ class MatchSession:
         on_cyclic: str = "raise",
         result_cache_size: Optional[int] = DEFAULT_RESULT_CACHE_SIZE,
         bits_cache_size: int = DEFAULT_BITS_CACHE_SIZE,
-        row_cache_size: Optional[int] = DEFAULT_ROW_CACHE_SIZE,
         edge_cache_size: Optional[int] = DEFAULT_EDGE_CACHE_SIZE,
         selectivity_order: bool = True,
     ) -> None:
@@ -148,7 +147,6 @@ class MatchSession:
         self._edge_cache = (
             BoundedBitsCache(edge_cache_size) if edge_cache_size != 0 else None
         )
-        self._row_cache_size = row_cache_size
         self._oracle = oracle
         self._custom_oracle = oracle is not None
         self._cache = ResultCache(result_cache_size)
@@ -190,9 +188,7 @@ class MatchSession:
         """
         if self._oracle is None:
             self._oracle = CompiledDistanceMatrix(
-                self._graph,
-                max_rows=self._row_cache_size,
-                bits_cache=self._bits_cache,
+                self._graph, bits_cache=self._bits_cache
             )
         return self._oracle
 

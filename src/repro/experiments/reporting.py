@@ -42,7 +42,7 @@ class Table:
     ) -> None:
         self.title = title
         self.note = note
-        self._columns: List[str] = list(columns) if columns else []
+        self._header: List[str] = list(columns) if columns else []
         self._rows: List[Dict[str, Any]] = []
 
     # ------------------------------------------------------------------
@@ -50,7 +50,7 @@ class Table:
     @property
     def columns(self) -> List[str]:
         """Column names in display order."""
-        return list(self._columns)
+        return list(self._header)
 
     @property
     def rows(self) -> List[Dict[str, Any]]:
@@ -60,8 +60,8 @@ class Table:
     def add_row(self, row: Mapping[str, Any]) -> None:
         """Append a row; new keys extend the column list in first-seen order."""
         for key in row:
-            if key not in self._columns:
-                self._columns.append(key)
+            if key not in self._header:
+                self._header.append(key)
         self._rows.append(dict(row))
 
     def extend(self, rows: Iterable[Mapping[str, Any]]) -> None:
@@ -76,7 +76,7 @@ class Table:
 
     def render(self) -> str:
         """Render the table as aligned plain text."""
-        header = self._columns
+        header = self._header
         body = [[format_value(row.get(col, "")) for col in header] for row in self._rows]
         widths = [
             max(len(str(col)), *(len(line[index]) for line in body)) if body else len(str(col))

@@ -312,31 +312,6 @@ class CompiledGraph:
         node_of = self._node_of
         return {node_of[i] for i in bits_to_indices(bits)}
 
-    def encode_within(
-        self, distances: Mapping[NodeId, int], bound: Optional[int]
-    ) -> int:
-        """Bitset of the nodes whose distance entry satisfies ``1 <= d <= bound``.
-
-        This is the hot conversion from a sparse distance row/column (as kept
-        by :class:`~repro.distance.matrix.DistanceMatrix`) to a candidate
-        bitset; ids unknown to the snapshot are ignored.
-        """
-        id_of = self._id_of
-        bits = 0
-        if bound is None:
-            for node, dist in distances.items():
-                if dist >= 1:
-                    index = id_of.get(node)
-                    if index is not None:
-                        bits |= 1 << index
-        else:
-            for node, dist in distances.items():
-                if 1 <= dist <= bound:
-                    index = id_of.get(node)
-                    if index is not None:
-                        bits |= 1 << index
-        return bits
-
     # ------------------------------------------------------------------
     # adjacency (CSR)
     # ------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 from repro.distance.bfs import BFSDistanceOracle
 from repro.analysis import sanitize
+from repro.distance import compiled as compiled_distance
 from repro.distance.compiled import (
     DENSE_BALL_MAX_NODES,
     CompiledDistanceMatrix,
@@ -253,10 +254,11 @@ class TestCompiledDistanceMatrix:
             oracle.descendants_within_bits(other, index, 2)
         ) == graph.descendants_within(node, 2)
 
-    def test_row_lru_eviction_keeps_answers_correct(self):
+    def test_row_lru_eviction_keeps_answers_correct(self, monkeypatch):
+        monkeypatch.setattr(compiled_distance, "DEFAULT_ROW_CACHE_SIZE", 4)
         graph = _random_digraph(9)
         legacy = DistanceMatrix(graph)
-        oracle = CompiledDistanceMatrix(graph, max_rows=4)
+        oracle = CompiledDistanceMatrix(graph)
         for source in graph.nodes():
             for target in list(graph.nodes())[:5]:
                 assert oracle.distance(source, target) == legacy.distance(source, target)
@@ -290,16 +292,21 @@ class TestCompiledDistanceMatrix:
 
 class TestStoreHandoff:
     def test_build_store_equals_from_matrix(self, graph):
-        matrix = DistanceMatrix(graph)
         compiled = compile_graph(graph)
         via_kernel = build_store(compiled)
-        via_matrix = InternedDistanceStore.from_matrix(matrix, compiled)
-        assert list(via_kernel.finite_pairs()) == list(via_matrix.finite_pairs())
+        via_matrix = InternedDistanceStore.from_matrix(DistanceMatrix(graph), compiled)
+        expected = sorted(
+            (compiled.id_of(source), compiled.id_of(target), dist)
+            for source in graph.nodes()
+            for target, dist in graph.bfs_distances(source).items()
+        )
+        assert list(via_kernel.finite_pairs()) == expected
+        assert list(via_matrix.finite_pairs()) == expected
 
-    def test_to_store_roundtrip(self, graph):
+    def test_build_store_roundtrip(self, graph):
         oracle = CompiledDistanceMatrix(graph)
-        store = oracle.to_store()
         compiled = oracle.snapshot
+        store = build_store(compiled)
         for source in graph.nodes():
             i = compiled.id_of(source)
             for target in graph.nodes():

@@ -15,7 +15,7 @@ from repro.distance.incremental import (
     update_store_delete,
     update_store_insert,
 )
-from repro.distance.matrix import MAX_STORED_DISTANCE, DistanceMatrix
+from repro.distance.matrix import MAX_STORED_DISTANCE
 from repro.distance.oracle import INF
 from repro.exceptions import DistanceOracleError, DistanceOverflowError
 from repro.graph.compiled import compile_graph
@@ -42,8 +42,12 @@ def decoded_aff1(store, affected):
 
 
 def reference(graph):
-    """Finite entries of a fresh DistanceMatrix over a copy of *graph*."""
-    return {(s, t): d for s, t, d in DistanceMatrix(graph.copy()).finite_pairs()}
+    """Finite entries of *graph*, one dict BFS per source."""
+    return {
+        (source, target): dist
+        for source in graph.nodes()
+        for target, dist in graph.bfs_distances(source).items()
+    }
 
 
 def distance(store, source, target):

@@ -4,10 +4,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distance.matrix import DistanceMatrix
+from repro.distance.incremental import build_store, update_store_insert
+from repro.distance.matrix import MAX_STORED_DISTANCE, DistanceMatrix
 from repro.distance.oracle import INF
-from repro.exceptions import DistanceOracleError
+from repro.exceptions import DistanceOracleError, DistanceOverflowError
+from repro.graph.compiled import compile_graph
+from repro.graph.datagraph import DataGraph
 from repro.graph.generators import random_data_graph
+
+
+def chain_of(num_nodes):
+    """The directed path ``0 -> 1 -> ... -> num_nodes - 1``."""
+    graph = DataGraph()
+    for node in range(num_nodes):
+        graph.add_node(node)
+    for node in range(num_nodes - 1):
+        graph.add_edge(node, node + 1)
+    return graph
 
 
 class TestDistances:
@@ -75,14 +88,6 @@ class TestNonEmptyPathSemantics:
         matrix.refresh()
         assert matrix.nonempty_distance("n0", "n0") == 4
 
-    def test_nonempty_distance_memo_invalidated_by_set_distance(self, chain_graph):
-        # set_distance mutates the matrix at a fixed graph version; the
-        # memoised self-loop distances must not go stale.
-        matrix = DistanceMatrix(chain_graph)
-        assert matrix.nonempty_distance("n0", "n0") == INF
-        matrix.set_distance("n1", "n0", 1)  # pretend n1 -> n0 exists
-        assert matrix.nonempty_distance("n0", "n0") == 2
-
     def test_reaches(self, chain_graph):
         matrix = DistanceMatrix(chain_graph)
         assert matrix.reaches("n0", "n4")
@@ -127,98 +132,74 @@ class TestMaintenanceHelpers:
         assert matrix.in_sync
         assert matrix.distance("n4", "n0") == 1
 
-    def test_set_distance_and_infinite_removal(self, chain_graph):
-        matrix = DistanceMatrix(chain_graph)
-        matrix.set_distance("n4", "n0", 7)
-        assert matrix.distance("n4", "n0") == 7
-        matrix.set_distance("n4", "n0", INF)
-        assert matrix.distance("n4", "n0") == INF
-
-    def test_copy_and_equals(self, tiny_graph):
-        matrix = DistanceMatrix(tiny_graph)
-        clone = matrix.copy()
-        assert matrix.equals(clone)
-        clone.set_distance("a", "d", 9)
-        assert not matrix.equals(clone)
-
     def test_finite_pairs_and_counts(self, chain_graph):
         matrix = DistanceMatrix(chain_graph)
         pairs = list(matrix.finite_pairs())
         assert matrix.num_finite_pairs() == len(pairs)
         assert ("n0", "n4", 4) in pairs
 
-    def test_row_and_column_views(self, chain_graph):
-        matrix = DistanceMatrix(chain_graph)
-        assert matrix.row("n0")["n2"] == 2
-        assert matrix.column("n2")["n0"] == 2
 
-
-class TestLazyColumns:
-    def test_refresh_is_row_only(self):
-        graph = random_data_graph(30, 90, seed=12)
+class TestStoreView:
+    def test_longest_storable_chain_is_answered(self):
+        graph = chain_of(MAX_STORED_DISTANCE + 1)
         matrix = DistanceMatrix(graph)
-        assert matrix.materialized_columns() == 0
+        assert matrix.distance(0, MAX_STORED_DISTANCE) == MAX_STORED_DISTANCE
+
+    def test_path_beyond_the_cell_limit_raises(self):
+        with pytest.raises(DistanceOverflowError):
+            DistanceMatrix(chain_of(256))
+
+    def test_node_added_out_of_band_is_isolated_until_refresh(self, chain_graph):
+        matrix = DistanceMatrix(chain_graph)
+        chain_graph.add_node("late")
+        # The next compile interns "late" into the matrix's own snapshot,
+        # past the end of its store; the patched edges keep it current.
+        compiled = compile_graph(chain_graph)
+        for source, target in (("late", "n0"), ("n4", "late")):
+            chain_graph.add_edge(source, target)
+            compiled.patch_edge_insert(source, target)
+        assert compile_graph(chain_graph) is compiled
+        index = compiled.id_of("late")
+        assert matrix.distance("late", "n0") == INF
+        assert matrix.distance("n0", "late") == INF
+        assert matrix.distance("late", "late") == 0
+        assert matrix.descendants_within("late", None) == set()
+        assert matrix.ancestors_within("late", None) == set()
+        assert matrix.descendants_within_bits(compiled, index, None) == 0
+        assert matrix.ancestors_within_bits(compiled, index, 2) == 0
+        assert matrix.descendants_within("n4", None) == set()
         matrix.refresh()
-        assert matrix.materialized_columns() == 0
+        assert matrix.in_sync
+        assert matrix.distance("late", "n0") == 1
+        assert matrix.distance("n0", "late") == 5
+        assert matrix.descendants_within("late", 2) == {"n0", "n1"}
+        assert matrix.ancestors_within("late", 1) == {"n4"}
 
-    def test_column_materializes_on_demand_only(self):
-        graph = random_data_graph(30, 90, seed=12)
-        matrix = DistanceMatrix(graph)
-        node = next(iter(graph.nodes()))
-        matrix.ancestors_within(node, 2)
-        assert matrix.materialized_columns() == 1
-
-    def test_materialized_column_matches_reverse_bfs(self):
-        graph = random_data_graph(30, 90, seed=13)
-        matrix = DistanceMatrix(graph)
-        for node in graph.nodes():
-            assert matrix.column(node) == graph.bfs_distances(node, reverse=True)
-
-    def test_set_distance_updates_materialized_column(self, chain_graph):
+    def test_incremental_repair_does_not_move_the_view(self, chain_graph):
         matrix = DistanceMatrix(chain_graph)
-        column = matrix.column("n0")  # materialise before mutating
-        matrix.set_distance("n4", "n0", 7)
-        assert column["n4"] == 7
-        matrix.set_distance("n4", "n0", INF)
-        assert "n4" not in column
-
-    def test_set_distance_then_materialize_is_consistent(self, chain_graph):
-        matrix = DistanceMatrix(chain_graph)
-        matrix.set_distance("n4", "n0", 7)  # column n0 not yet materialised
-        assert matrix.column("n0")["n4"] == 7
-
-    def test_ensure_node_does_not_materialize_columns(self, chain_graph):
-        matrix = DistanceMatrix(chain_graph)
-        chain_graph.add_node("extra")
-        matrix.ensure_node("extra")
-        assert matrix.materialized_columns() == 0
-        assert matrix.column("extra") == {"extra": 0}
+        compiled = compile_graph(chain_graph)
+        store = compiled.distance_store()
+        update_store_insert(store, "n4", "n0")  # mutates graph, snapshot and store
+        assert store.distance(compiled.id_of("n4"), compiled.id_of("n0")) == 1
+        assert matrix.distance("n4", "n0") == INF
+        matrix.refresh()
+        assert matrix.distance("n4", "n0") == 1
 
 
-class TestBitsCacheBound:
-    def test_bits_lru_is_capped(self):
-        from repro.graph.compiled import compile_graph
+class TestSelfLoopBoundZero:
+    """A self-loop is a cycle of length 1, never one within bound 0."""
 
-        graph = random_data_graph(30, 90, seed=14)
-        matrix = DistanceMatrix(graph, bits_cache_size=10)
-        compiled = compile_graph(graph)
-        for node in graph.nodes():
-            index = compiled.id_of(node)
-            for bound in (1, 2, 3, None):
-                matrix.descendants_within_bits(compiled, index, bound)
-                matrix.ancestors_within_bits(compiled, index, bound)
-        assert len(matrix._bits_lru) <= 10
+    @pytest.fixture
+    def loop(self):
+        graph = DataGraph()
+        graph.add_node("a")
+        graph.add_edge("a", "a")
+        return graph
 
-    def test_capped_cache_still_correct(self):
-        from repro.graph.compiled import compile_graph
-
-        graph = random_data_graph(25, 70, seed=15)
-        small = DistanceMatrix(graph, bits_cache_size=2)
-        large = DistanceMatrix(graph)
-        compiled = compile_graph(graph)
-        for node in graph.nodes():
-            index = compiled.id_of(node)
-            for bound in (1, 3, None):
-                assert small.descendants_within_bits(
-                    compiled, index, bound
-                ) == large.descendants_within_bits(compiled, index, bound)
+    def test_store_bound_zero_ball_is_empty(self, loop):
+        compiled = compile_graph(loop)
+        store = build_store(compiled)
+        assert store.descendants_within_bits(compiled, 0, 0) == 0
+        assert store.ancestors_within_bits(compiled, 0, 0) == 0
+        assert store.descendants_within_bits(compiled, 0, 1) == 1
+        assert store.ancestors_within_bits(compiled, 0, None) == 1

@@ -57,8 +57,12 @@ def decoded(store):
 
 
 def reference(graph):
-    """Finite entries of a fresh DistanceMatrix over a copy of *graph*."""
-    return {(s, t): d for s, t, d in DistanceMatrix(graph.copy()).finite_pairs()}
+    """Finite entries of *graph*, one dict BFS per source."""
+    return {
+        (source, target): dist
+        for source in graph.nodes()
+        for target, dist in graph.bfs_distances(source).items()
+    }
 
 
 def net_change(before, after):

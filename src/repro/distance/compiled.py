@@ -23,9 +23,18 @@ space and computes only what a query touches:
   full column map is never built.  It is the default oracle of
   :func:`~repro.matching.bounded.match`: together with the worklist
   refinement it computes balls only for live candidates instead of all
-  ``|V|^2`` pairs.  Each ball is searched once, densely up to
-  :data:`DENSE_BALL_MAX_NODES` nodes (a bitset of at most 1 KiB) and
-  sparsely above (see :meth:`FlatBFSKernel.ball_nodes`).
+  ``|V|^2`` pairs.  Each ball miss is one kernel call: dense up to
+  :data:`DENSE_BALL_MAX_NODES` nodes (a bitset of at most 1 KiB), sparse
+  above (see :meth:`FlatBFSKernel.ball_nodes`).  A dense ball of a finite
+  bound ``b >= 3`` is *composed* rather than searched: under the
+  nonempty-path semantics ``ball(v, b)`` is the union over the neighbours
+  ``j`` of ``{j} | ball(j, b - 1)``, so with the sub-balls memoised it
+  costs one OR per neighbour instead of one per node within ``b - 1``
+  hops.  The sub-balls a miss needs are planned top down and computed
+  bottom up (no recursion, no kernel call inside another, none computed
+  twice within the miss; see :meth:`CompiledDistanceMatrix._composed_ball`).
+  Bounds whose ``(b - 2) * |V|`` sub-balls do not fit in the ball memo are
+  searched, since their sub-balls would be evicted before their reuse.
 
 The matrix, BFS and 2-hop oracles stay available for the paper's Exp-2
 comparisons.  The incremental procedures (``UpdateM`` repairs a fully
@@ -38,7 +47,7 @@ adjacency.
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.analysis import sanitize as _sanitize
 from repro.exceptions import DistanceOracleError, NodeNotFoundError
@@ -73,7 +82,8 @@ class FlatBFSKernel:
       visited set and the result are plain Python ints, and one level
       expands by OR-ing the cached neighbour bitsets of the frontier's
       members — ``O(frontier * |V|/64)`` word operations in C rather than
-      one interpreted step per edge.
+      one interpreted step per edge.  Given the neighbours' memoised
+      sub-balls it composes the ball with one OR per neighbour instead.
     * :meth:`distance_row` walks a tuple-decoded CSR (interned ints only);
       the output row doubles as the visited set, so nothing else is
       allocated.  Rows start as a copy of an all ``-1`` ``array('i')``
@@ -144,21 +154,41 @@ class FlatBFSKernel:
     # bounded balls (nonempty-path semantics, bitset output)
     # ------------------------------------------------------------------
 
-    def ball_bits(self, source: int, bound: Optional[int], *, reverse: bool = False) -> int:
+    def ball_bits(
+        self,
+        source: int,
+        bound: Optional[int],
+        *,
+        reverse: bool = False,
+        sub_balls: Optional[Iterable[int]] = None,
+    ) -> int:
         """Bitset of nodes within a nonempty path of length ``<= bound`` of *source*.
 
         Forward (descendants) by default, backward (ancestors) with
         *reverse*.  ``bound=None`` means unbounded; *source*'s own bit is set
         only when it lies on a cycle of length within the bound, matching
         :meth:`DataGraph.descendants_within`.
+
+        Given *sub_balls* — the ``(bound - 1)``-balls of *source*'s
+        neighbours, one per neighbour, in any order — the ball is composed
+        instead of searched: ``ball(v, b)`` is the union over the neighbours
+        ``j`` of ``{j} | ball(j, b - 1)``, so it costs one OR per neighbour
+        (the neighbour row itself supplies every ``{j}``).  A self-loop or a
+        path back to *source* inside a sub-ball sets *source*'s own bit, as
+        the search would.
         """
         if bound is not None and bound <= 0:
             return 0
         compiled = self.compiled
-        cache, patched = compiled.adjacency_bits(reverse=reverse)
         materialize = (
             compiled.predecessors_bits if reverse else compiled.successors_bits
         )
+        if sub_balls is not None:
+            ball = materialize(source)
+            for sub in sub_balls:
+                ball |= sub
+            return ball
+        cache, patched = compiled.adjacency_bits(reverse=reverse)
         consult_patch = bool(patched)
         source_bit = 1 << source
         visited = source_bit
@@ -333,7 +363,13 @@ class CompiledDistanceMatrix(DistanceOracle):
             return self._compiled
         self._compiled = compile_graph(graph)
         self._kernel = self._compiled.flat_kernel()
-        self._dense_balls = self._compiled.num_nodes <= DENSE_BALL_MAX_NODES
+        num_nodes = self._compiled.num_nodes
+        self._dense_balls = num_nodes <= DENSE_BALL_MAX_NODES
+        # The largest bound a dense miss composes (see _composed_ball): the
+        # sub-balls of bounds 2 .. b-1 of every node must fit in the memo
+        # together, or they would evict each other before they are reused.
+        cap = self._bits_lru.max_size
+        self._max_composed_bound = INF if cap is None else 2 + cap // max(num_nodes, 1)
         self._rows_lru.clear()
         self._bits_lru.clear()
         self._synced_version = graph.version
@@ -410,24 +446,85 @@ class CompiledDistanceMatrix(DistanceOracle):
     def _compact_ball(self, index: int, bound: Optional[int], forward: bool):
         """The memoised ball of ``(index, bound)`` — bitset or tuple of indices.
 
-        A miss runs exactly one kernel search, chosen by :meth:`_sync` from
-        the snapshot's width: :meth:`FlatBFSKernel.ball_bits` up to
+        A miss runs exactly one kernel call, its form chosen by :meth:`_sync`
+        from the snapshot's width: :meth:`FlatBFSKernel.ball_bits` up to
         :data:`DENSE_BALL_MAX_NODES` nodes (a bitset of at most 1 KiB),
         :meth:`FlatBFSKernel.ball_nodes` above (a tuple while the ball has at
         most ``|V|/64`` members, else a bitset).  Consumers dispatch on type.
+
+        A dense ball of a finite bound ``b >= 3`` is composed from its
+        neighbours' memoised ``(b - 1)``-balls (see :meth:`_composed_ball`)
+        while ``(b - 2) * |V|`` sub-balls fit in the memo; at bound 2 the
+        search already ORs one row per neighbour, an unbounded ball has no
+        smaller bound to reuse, and past the memo's room the sub-balls would
+        evict each other before their reuse, so those are searched.
         """
         self._sync()
         key = (index, bound, forward)
         ball = self._bits_lru.get(key)
         if ball is None:
-            if self._dense_balls:
-                ball = self._kernel.ball_bits(index, bound, reverse=not forward)
-            else:
+            if not self._dense_balls:
                 ball = self._kernel.ball_nodes(index, bound, reverse=not forward)
-            if _sanitize.ENABLED:
-                _sanitize.primed_ball(ball, self._compiled.num_nodes)
-            self._bits_lru.put(key, ball)
+            elif bound is not None and 3 <= bound <= self._max_composed_bound:
+                ball = self._composed_ball(index, bound, forward)
+            else:
+                ball = self._kernel.ball_bits(index, bound, reverse=not forward)
+            self._memoise(key, ball)
         return ball
+
+    def _memoise(self, key: Tuple[int, Optional[int], bool], ball) -> None:
+        if _sanitize.ENABLED:
+            _sanitize.primed_ball(ball, self._compiled.num_nodes)
+        self._bits_lru.put(key, ball)
+
+    def _composed_ball(self, index: int, bound: int, forward: bool) -> int:
+        """The dense ball of a miss, composed from memoised sub-balls.
+
+        Under the nonempty-path semantics ``ball(v, b)`` is the union over
+        the neighbours ``j`` of ``{j} | ball(j, b - 1)``.  The plan runs top
+        down: the neighbours of each level's misses need their
+        ``(b - 1)``-balls; memo hits are held, misses make up the next level,
+        down to bound 2, whose misses are searched.  The computation then
+        runs bottom up, one :meth:`FlatBFSKernel.ball_bits` call per miss,
+        each given the held balls of the level below, and every sub-ball is
+        memoised as its parent level takes it.  So each miss is one kernel
+        call, no call runs inside another, no sub-ball is computed twice
+        within the miss whatever the memo evicts meanwhile, and no bound is
+        too deep (nothing recurses).  A cold miss computes at most
+        ``(b - 2) * |V|`` sub-balls, one OR per edge each level.  The
+        *index* ball itself is left to the caller to memoise.
+        """
+        kernel = self._kernel
+        reverse = not forward
+        # CSR slices, not the kernel's decoded tuples: those are re-derived
+        # for all of |V| after every patch, which a read after a write
+        # would pay for a handful of rows.
+        compiled = self._compiled
+        neighbours = compiled.predecessors_indices if reverse else compiled.successors_indices
+        memo = self._bits_lru.get
+        levels = []  # (bound, [(miss, its neighbours)], held (bound - 1)-balls)
+        misses = [index]
+        level = bound
+        while level > 2 and misses:
+            rows = [(i, neighbours(i)) for i in misses]
+            held: Dict[int, Optional[int]] = {}
+            for _, row in rows:
+                for j in row:
+                    if j not in held:
+                        held[j] = memo((j, level - 1, forward))
+            levels.append((level, rows, held))
+            misses = [j for j, ball in held.items() if ball is None]
+            level -= 1
+        balls = {j: kernel.ball_bits(j, level, reverse=reverse) for j in misses}
+        for level, rows, held in reversed(levels):
+            for j, ball in balls.items():
+                self._memoise((j, level - 1, forward), ball)
+            held.update(balls)
+            balls = {
+                i: kernel.ball_bits(i, level, reverse=reverse, sub_balls=map(held.__getitem__, row))
+                for i, row in rows
+            }
+        return balls[index]
 
     def _ball(self, index: int, bound: Optional[int], forward: bool) -> int:
         """The memoised ball as a dense bitset (converting a sparse memo)."""

@@ -32,8 +32,9 @@ store with the snapshot version it reached (see
 The deletion repair is the standard two-phase affected-only procedure: the
 first phase identifies, per affected sink, the sources whose *every* old
 shortest path used the deleted edge; the second phase re-settles exactly
-those sources with a Dijkstra-style priority queue seeded from unaffected
-neighbours.  The insertion repair uses the classic
+those sources in order of distance, seeded from unaffected neighbours; as
+every edge weighs one hop, the priority queue is one bucket per distance
+(Dial's queue) rather than a heap.  The insertion repair uses the classic
 ``d(x, y) <- min(d(x, y), d(x, s) + 1 + d(t, y))`` relaxation with the
 two-sided Ramalingam–Reps restriction: only sinks whose distance from the
 edge tail improves (``d(t, y) + 1 < d(s, y)``) and only sources whose
@@ -50,7 +51,6 @@ from repro.exceptions import DistanceOracleError, DistanceOverflowError
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.distance.matrix import INF_CELL, MAX_STORED_DISTANCE, InternedDistanceStore
 from repro.distance.oracle import INF
-from repro.utils.priority_queue import AddressablePriorityQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.compiled import CompiledGraph
@@ -357,9 +357,10 @@ def _repair_store_sink(
 
     Phase 1 collects the sources whose *every* old shortest path to *sink*
     used the deleted edge (exactly the sources whose distance changes);
-    phase 2 re-settles them from unaffected neighbours with a Dijkstra-style
-    priority queue.  Only affected entries and their immediate frontier are
-    touched — the Ramalingam–Reps bounded behaviour.  Neighbours come
+    phase 2 re-settles them from unaffected neighbours in order of distance,
+    from one bucket per distance (Dial's queue: every edge weighs one hop).
+    Only affected entries and their immediate frontier are touched — the
+    Ramalingam–Reps bounded behaviour.  Neighbours come
     straight from the snapshot's CSR slices (or its patch overlay) and
     distances from a copy of *sink*'s column, which holds the pre-deletion
     distances; repaired cells are written to the store directly.  The caller
@@ -403,8 +404,12 @@ def _repair_store_sink(
                 affected_sources.add(pred)
                 worklist.append(pred)
 
-    # ---- Phase 2: re-settle affected sources ---------------------------
-    queue = AddressablePriorityQueue()
+    # ---- Phase 2: re-settle affected sources, one distance at a time ---
+    # Edges weigh one hop, so the priority queue is one bucket per
+    # distance (Dial's): settling a node at distance d offers its affected
+    # predecessors d + 1, and a node is settled by the first bucket that
+    # holds it (later entries for it are stale and skipped).
+    buckets: Dict[int, List[int]] = {}
     for node in affected_sources:
         best = INF_CELL + 1
         successors = patched_fwd.get(node)
@@ -414,26 +419,30 @@ def _repair_store_sink(
             if j not in affected_sources and col[j] + 1 < best:
                 best = col[j] + 1
         if best <= INF_CELL:
-            queue.push(node, best)
+            buckets.setdefault(best, []).append(node)
 
     settled: Set[int] = set()
-    while not queue.empty():
-        node, dist = queue.pop()
-        settled.add(node)
-        old_value = col[node]
-        if dist != old_value:
-            if dist > MAX_STORED_DISTANCE:
-                raise DistanceOverflowError(
-                    f"deleted edge stretches a shortest path to {dist} hops"
-                )
-            affected[(node, sink)] = (old_value, dist)
-            flat[node * n + sink] = dist
-        predecessors = patched_rev.get(node)
-        if predecessors is None:
-            predecessors = rev_targets[rev_offsets[node] : rev_offsets[node + 1]]
-        for pred in predecessors:
-            if pred in affected_sources and pred not in settled:
-                queue.push_if_smaller(pred, dist + 1)
+    dist = min(buckets, default=0)
+    while buckets:
+        for node in buckets.pop(dist, ()):
+            if node in settled:
+                continue
+            settled.add(node)
+            old_value = col[node]
+            if dist != old_value:
+                if dist > MAX_STORED_DISTANCE:
+                    raise DistanceOverflowError(
+                        f"deleted edge stretches a shortest path to {dist} hops"
+                    )
+                affected[(node, sink)] = (old_value, dist)
+                flat[node * n + sink] = dist
+            predecessors = patched_rev.get(node)
+            if predecessors is None:
+                predecessors = rev_targets[rev_offsets[node] : rev_offsets[node + 1]]
+            for pred in predecessors:
+                if pred in affected_sources and pred not in settled:
+                    buckets.setdefault(dist + 1, []).append(pred)
+        dist += 1
 
     if len(settled) != len(affected_sources):
         for node in affected_sources:

@@ -68,11 +68,19 @@ class DistanceMatrix(DistanceOracle):
         """Rebuild the store from the current graph (one BFS per node)."""
         from repro.distance.incremental import build_store
 
-        # Self-loop memos taken between a mutation and this refresh were
-        # computed from the stale store (possibly under the current version).
-        self._self_loop_cache.clear()
-        self._self_loop_version = self._graph.version
-        self._store = build_store(compile_graph(self._graph))
+        compiled = compile_graph(self._graph)
+        store = build_store(compiled)
+        # The shortest way back from each node's successors, taken from the
+        # adjacency the store was built over: the snapshot's adjacency moves
+        # with later patches, and a cycle test that read it would mix that
+        # newer state into this older store's answers.
+        n = store.num_nodes
+        flat = store.flat
+        self._back = bytes(
+            min((flat[s * n + i] for s in successors), default=INF_CELL)
+            for i, successors in enumerate(compiled.flat_kernel().adjacency_tuples())
+        )
+        self._store = store
 
     @property
     def in_sync(self) -> bool:
@@ -103,19 +111,39 @@ class DistanceMatrix(DistanceOracle):
             return INF
         return self._store.distance(i, j)
 
+    def nonempty_distance(self, source: NodeId, target: NodeId) -> float:
+        """As :meth:`DistanceOracle.nonempty_distance`, from the store alone."""
+        if source != target:
+            return self.distance(source, target)
+        index = self._index(source)
+        if index is None:
+            if not self._graph.has_node(source):
+                raise DistanceOracleError(f"unknown node {source!r}")
+            return INF
+        back = self._back[index]
+        return INF if back == INF_CELL else back + 1
+
+    def _ball_bits(self, index: int, bound: Optional[int], forward: bool) -> int:
+        """The nonempty-path ball of *index*: cells within *bound*, plus
+        *index* itself when it lies on a cycle of length ``<= bound``."""
+        store = self._store
+        bits = _bits_within(store.row(index) if forward else store.column(index), bound)
+        limit = INF_CELL if bound is None else min(bound, INF_CELL)
+        if self._back[index] < limit:
+            bits |= 1 << index
+        return bits
+
     def descendants_within(self, source: NodeId, bound: Optional[int]) -> Set[NodeId]:
         index = self._index(source)
         if index is None:
             return set()
-        store = self._store
-        return store.compiled.decode(store.descendants_within_bits(store.compiled, index, bound))
+        return self._store.compiled.decode(self._ball_bits(index, bound, True))
 
     def ancestors_within(self, target: NodeId, bound: Optional[int]) -> Set[NodeId]:
         index = self._index(target)
         if index is None:
             return set()
-        store = self._store
-        return store.compiled.decode(store.ancestors_within_bits(store.compiled, index, bound))
+        return self._store.compiled.decode(self._ball_bits(index, bound, False))
 
     def descendants_within_bits(
         self, compiled: "CompiledGraph", source: int, bound: Optional[int]
@@ -127,7 +155,7 @@ class DistanceMatrix(DistanceOracle):
             return super().descendants_within_bits(compiled, source, bound)
         if source >= store.num_nodes:
             return 0
-        return store.descendants_within_bits(compiled, source, bound)
+        return self._ball_bits(source, bound, True)
 
     def ancestors_within_bits(
         self, compiled: "CompiledGraph", target: int, bound: Optional[int]
@@ -137,7 +165,7 @@ class DistanceMatrix(DistanceOracle):
             return super().ancestors_within_bits(compiled, target, bound)
         if target >= store.num_nodes:
             return 0
-        return store.ancestors_within_bits(compiled, target, bound)
+        return self._ball_bits(target, bound, False)
 
     def finite_pairs(self) -> Iterator[Tuple[NodeId, NodeId, int]]:
         """Iterate over all finite ``(source, target, distance)`` triples."""

@@ -1,8 +1,8 @@
 """Small supporting utilities shared across the library.
 
 The utilities are intentionally dependency-free: timers, a pairing-free
-addressable priority queue used by the incremental shortest-path repair,
-validation helpers, and seeded random-number helpers.
+addressable priority queue, validation helpers, and seeded random-number
+helpers.
 """
 
 from repro.utils.priority_queue import AddressablePriorityQueue

@@ -1,10 +1,11 @@
 """An addressable min-priority queue.
 
-The incremental shortest-path repair procedures (``UpdateM`` / ``UpdateBM``,
-Section 4 of the paper and Ramalingam & Reps 1996) need a priority queue that
+Shortest-path repairs over weighted edges need a priority queue that
 supports *decrease-key* and *remove* on arbitrary items.  Python's ``heapq``
 does not support these directly, so this module implements the standard
-lazy-deletion wrapper: stale heap entries are skipped when popped.
+lazy-deletion wrapper: stale heap entries are skipped when popped.  (The
+unit-weight deletion repair of :mod:`repro.distance.incremental` uses
+distance buckets instead.)
 """
 
 from __future__ import annotations

@@ -59,6 +59,7 @@ class TestFactorisation:
         factorised = wrap(layered).query(ab_pattern()).match().factorised()
         assert factorised.count_factorised() == 2 * 4
         assert bool(factorised)
+        assert factorised._column_cache == {}  # counting builds no column
 
     def test_empty_result_counts_zero(self, layered):
         pattern = Pattern(name="no-match")

@@ -9,10 +9,13 @@ digraphs — including the nonempty-path corner cases (self-loops, cycles,
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 
 import pytest
 
+from repro.datasets.synthetic_real import youtube_graph
 from repro.distance.bfs import BFSDistanceOracle
 from repro.analysis import sanitize
 from repro.distance import compiled as compiled_distance
@@ -590,3 +593,204 @@ class TestOneSearchPerMiss:
         self.request_every_ball(oracle, compiled, [4, *range(0, width, 7)])
         assert len(checked) == len(oracle._bits_lru) > 0
         assert set(checked) == ({int} if width <= DENSE_BALL_MAX_NODES else {int, tuple})
+
+
+# ----------------------------------------------------------------------
+# composed balls: ball(v, b) from the memoised (b - 1)-balls of v's neighbours
+# ----------------------------------------------------------------------
+
+#: Requested highest first, so cold misses plan several levels deep.
+COMPOSED_BOUNDS = [5, 4, 3, 2, 1, None]
+
+
+def _hub_graph(seed: int) -> DataGraph:
+    """Self-loops and 2-cycles (see :func:`_random_digraph`) plus a hub.
+
+    The hub points at and is pointed at by a third of the nodes, so the
+    plans of misses around it are wide and share many sub-balls.
+    """
+    graph = _random_digraph(seed, num_nodes=48, num_edges=96)
+    nodes = list(graph.nodes())
+    for node in nodes[1::3]:
+        graph.add_edge(nodes[0], node, strict=False)
+        graph.add_edge(node, nodes[0], strict=False)
+    return graph
+
+
+def _cycle(num_nodes: int) -> DataGraph:
+    graph = DataGraph()
+    for i in range(num_nodes):
+        graph.add_node(i)
+    for i in range(num_nodes):
+        graph.add_edge(i, (i + 1) % num_nodes)
+    return graph
+
+
+def _record_kernel_calls(monkeypatch):
+    """Each ``ball_bits`` call as ``(kind, source, bound, reverse)``.
+
+    *kind* is ``"composed"`` when the call was given sub-balls, else
+    ``"searched"``.
+    """
+    calls = []
+    original = FlatBFSKernel.ball_bits
+
+    def recording(self, source, bound, *, reverse=False, sub_balls=None):
+        kind = "searched" if sub_balls is None else "composed"
+        calls.append((kind, source, bound, reverse))
+        return original(self, source, bound, reverse=reverse, sub_balls=sub_balls)
+
+    monkeypatch.setattr(FlatBFSKernel, "ball_bits", recording)
+    return calls
+
+
+def _kinds(calls):
+    return [kind for kind, *_ in calls]
+
+
+def _assert_balls_equal_dict_bfs(oracle, graph):
+    for bound in COMPOSED_BOUNDS:
+        for node in graph.nodes():
+            assert oracle.descendants_within(node, bound) == graph.descendants_within(
+                node, bound
+            ), (node, bound)
+            assert oracle.ancestors_within(node, bound) == graph.ancestors_within(
+                node, bound
+            ), (node, bound)
+
+
+class TestComposedBalls:
+    @pytest.mark.parametrize("cache_size", [1, 2, 100, None])
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_balls_equal_dict_bfs(self, seed, cache_size, monkeypatch):
+        calls = _record_kernel_calls(monkeypatch)
+        graph = _hub_graph(seed)
+        oracle = CompiledDistanceMatrix(graph, bits_cache_size=cache_size)
+        _assert_balls_equal_dict_bfs(oracle, graph)
+        # Composing bound b memoises (b - 2) * |V| sub-balls at most: caps 1
+        # and 2 leave no room, 100 holds those of bounds 3 and 4 on 48 nodes
+        # (and evicts throughout), no cap holds every bound.
+        composed = {bound for kind, _, bound, _ in calls if kind == "composed"}
+        assert composed == {None: {3, 4, 5}, 100: {3, 4}}.get(cache_size, set())
+        assert "searched" in _kinds(calls)
+
+    def test_bounds_past_the_memo_room_are_searched(self, monkeypatch):
+        graph = _cycle(50)
+        oracle = CompiledDistanceMatrix(graph, bits_cache_size=100)  # room up to bound 4
+        calls = _record_kernel_calls(monkeypatch)
+        assert oracle.descendants_within(0, 4) == {1, 2, 3, 4}
+        assert calls == [
+            ("searched", 2, 2, False),
+            ("composed", 1, 3, False),
+            ("composed", 0, 4, False),
+        ]
+        assert oracle.descendants_within(0, 5) == {1, 2, 3, 4, 5}
+        assert calls[3:] == [("searched", 0, 5, False)]
+
+    def test_held_sub_balls_survive_eviction_mid_miss(self, monkeypatch):
+        # With `evicting` set, every put empties the memo, as a consumer
+        # sharing it could: the first sub-ball a miss memoises evicts the
+        # hits its plan found, and the miss must still compose from them
+        # and compute each sub-ball once.
+        put = BoundedBitsCache.put
+        evicting = [False]
+
+        def put_maybe_evicting(self, key, value):
+            put(self, key, value)
+            if evicting[0]:
+                self.clear()
+
+        monkeypatch.setattr(BoundedBitsCache, "put", put_maybe_evicting)
+        graph = _hub_graph(4)
+        oracle = CompiledDistanceMatrix(graph, bits_cache_size=None)
+        nodes = list(graph.nodes())
+        calls = _record_kernel_calls(monkeypatch)
+        for node in nodes:
+            evicting[0] = False
+            for warm in nodes[::2]:
+                oracle.descendants_within(warm, 4)
+            evicting[0] = True
+            del calls[:]
+            assert oracle.descendants_within(node, 5) == graph.descendants_within(node, 5)
+            assert len(set(calls)) == len(calls)
+            assert calls[-1][0] == "composed"
+
+    def test_each_miss_is_one_call_and_sub_balls_are_memoised(self, monkeypatch):
+        calls = _record_kernel_calls(monkeypatch)
+        graph = _cycle(12)
+        oracle = CompiledDistanceMatrix(graph, bits_cache_size=None)
+        assert oracle.descendants_within(0, 5) == {1, 2, 3, 4, 5}
+        # Bound 5 from bound 4 of node 1, ... down to the bound-2 search of 3.
+        assert _kinds(calls) == ["searched", "composed", "composed", "composed"]
+        assert set(oracle._bits_lru._data) == {(0, 5, True), (1, 4, True), (2, 3, True), (3, 2, True)}
+        assert oracle.descendants_within(11, 6) == {0, 1, 2, 3, 4, 5}
+        assert _kinds(calls[4:]) == ["composed"]  # one level, from the bound-5 ball of 0
+
+    def test_deep_bound_on_a_cycle_does_not_recurse(self, monkeypatch):
+        graph = _cycle(250)
+        oracle = CompiledDistanceMatrix(graph, bits_cache_size=None)
+        calls = _record_kernel_calls(monkeypatch)
+        limit = sys.getrecursionlimit()
+        # Far fewer frames than the 199 levels composed below.
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            ball = oracle.descendants_within(0, 200)
+            back = oracle.ancestors_within(0, 250)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert ball == set(range(1, 201))
+        assert back == set(range(250))
+        assert _kinds(calls).count("composed") >= 2 * 198
+        assert oracle.descendants_within(7, 254) == graph.descendants_within(7, 254)
+
+    def test_balls_follow_patches_and_interned_nodes(self):
+        graph = _hub_graph(6)
+        oracle = CompiledDistanceMatrix(graph, bits_cache_size=64)
+        _assert_balls_equal_dict_bfs(oracle, graph)
+        compiled = oracle.snapshot
+        nodes = list(graph.nodes())
+        rng = random.Random(6)
+        for _ in range(4):
+            source, target = rng.sample(nodes, 2)
+            if graph.has_edge(source, target):
+                graph.remove_edge(source, target)
+                compiled.patch_edge_delete(source, target)
+            else:
+                graph.add_edge(source, target)
+                compiled.patch_edge_insert(source, target)
+            _assert_balls_equal_dict_bfs(oracle, graph)
+        graph.add_node("late")
+        assert compile_graph(graph) is compiled  # interned, not recompiled
+        for source, target in (("late", nodes[1]), (nodes[2], "late"), ("late", "late")):
+            graph.add_edge(source, target)
+            compiled.patch_edge_insert(source, target)
+        _assert_balls_equal_dict_bfs(oracle, graph)
+        assert oracle.snapshot is compiled
+
+    def test_sanitizer_checks_every_memoised_ball(self, monkeypatch):
+        monkeypatch.setattr(sanitize, "ENABLED", True)
+        checked = []
+        primed = sanitize.primed_ball
+
+        def recording(ball, num_nodes):
+            checked.append(ball)
+            primed(ball, num_nodes)
+
+        monkeypatch.setattr(sanitize, "primed_ball", recording)
+        calls = _record_kernel_calls(monkeypatch)
+        graph = _hub_graph(5)
+        oracle = CompiledDistanceMatrix(graph, bits_cache_size=None)
+        _assert_balls_equal_dict_bfs(oracle, graph)
+        assert len(checked) == len(calls) == len(oracle._bits_lru)
+        assert "composed" in _kinds(calls)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (8, 8, 4)])
+    def test_match_equals_naive_match_on_youtube(self, shape):
+        graph = youtube_graph(0.05, seed=42)
+        generator = PatternGenerator(graph, seed=11)
+        for _ in range(2):
+            pattern = generator.generate(*shape)
+            expected = naive_match(pattern, graph)
+            assert match(pattern, graph) == expected
+            small = CompiledDistanceMatrix(graph, bits_cache_size=16)
+            assert match(pattern, graph, oracle=small) == expected

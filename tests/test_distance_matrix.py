@@ -175,6 +175,29 @@ class TestStoreView:
         assert matrix.descendants_within("late", 2) == {"n0", "n1"}
         assert matrix.ancestors_within("late", 1) == {"n4"}
 
+    def test_patched_snapshot_does_not_move_the_stale_view(self, chain_graph):
+        # The cycle test must read the state the view was built from, not
+        # the snapshot's adjacency, which the patch below moves ahead of it.
+        matrix = DistanceMatrix(chain_graph)
+        compiled = compile_graph(chain_graph)
+        chain_graph.add_edge("n4", "n0")
+        compiled.patch_edge_insert("n4", "n0")
+        n4 = compiled.id_of("n4")
+        assert matrix.descendants_within("n4", None) == set()
+        assert "n4" not in matrix.ancestors_within("n4", None)
+        assert matrix.descendants_within_bits(compiled, n4, None) == 0
+        assert matrix.ancestors_within_bits(compiled, n4, 5) >> n4 & 1 == 0
+        assert matrix.nonempty_distance("n4", "n4") == INF
+        assert not matrix.within("n4", "n4", None)
+        assert matrix.distance("n4", "n0") == INF
+        matrix.refresh()
+        assert matrix.descendants_within("n4", None) == {"n0", "n1", "n2", "n3", "n4"}
+        assert matrix.descendants_within("n4", 4) == {"n0", "n1", "n2", "n3"}
+        assert "n4" in matrix.ancestors_within("n4", 5)
+        assert "n4" not in matrix.ancestors_within("n4", 4)
+        assert matrix.nonempty_distance("n4", "n4") == 5
+        assert matrix.within("n4", "n4", 5)
+
     def test_incremental_repair_does_not_move_the_view(self, chain_graph):
         matrix = DistanceMatrix(chain_graph)
         compiled = compile_graph(chain_graph)

@@ -2,7 +2,7 @@
 
 A "memo" is any ``self.<attr>`` inferred to hold a
 :class:`~repro.distance.oracle.BoundedBitsCache` (or one of the known
-dict-based memo attributes), or a parameter named ``edge_memo``.  Any
+dict-based memo attributes), or a parameter named ``ancestor_memo``.  Any
 function that *reads* such a memo — ``memo.get(...)``, ``memo[key]`` in a
 load position, or ``key in memo`` — must do one of:
 
@@ -12,7 +12,7 @@ load position, or ``key in memo`` — must do one of:
   ``self._check_version()``);
 * validate the fetched entry against its own inputs
   (``if entry[0] != parent_static or entry[1] != child_static:`` — the
-  self-validating ``edge_memo`` idiom).
+  self-validating memo idiom).
 
 Memos created fresh inside the function (``balls = {}``) are exempt: they
 cannot outlive a snapshot.  Classes whose entries embed the version in
@@ -45,7 +45,7 @@ def _memo_names_for_function(
     """Local names that refer to a version-sensitive memo inside *fn*.
 
     Maps local name -> description of the memo's origin.  Covers
-    ``edge_memo``-style parameters and aliases of memo-holding
+    ``ancestor_memo``-style parameters and aliases of memo-holding
     ``self.<attr>`` (``cache = self._bits_cache``).  Names rebound to a
     fresh container inside the function are removed — a memo that cannot
     outlive the call needs no guard.
@@ -170,7 +170,7 @@ def _validates_entry(fn: FunctionModel, result_names: Set[str]) -> bool:
 class VersionGuardChecker(Checker):
     rule = "version-guard"
     description = (
-        "functions reading a BoundedBitsCache / edge_memo / oracle memo "
+        "functions reading a BoundedBitsCache / ancestor_memo / oracle memo "
         "must compare a snapshot version (or validate the entry) on the "
         "read path"
     )

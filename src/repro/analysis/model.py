@@ -37,17 +37,16 @@ MEMO_CONSTRUCTORS = frozenset({"BoundedBitsCache"})
 #: ``self.<attr>`` names that are memos regardless of how they were built
 #: (plain dicts reused across calls on snapshot-derived data).
 ALWAYS_MEMO_ATTRS = frozenset(
-    {"_bits_lru", "_rows_lru", "_edge_memo", "_self_loop_cache"}
+    {"_bits_lru", "_rows_lru", "_ancestor_cache", "_self_loop_cache"}
 )
 
 #: Parameter names that carry a caller-owned memo into a function.
-MEMO_PARAM_NAMES = frozenset({"edge_memo"})
+MEMO_PARAM_NAMES = frozenset({"ancestor_memo"})
 
 #: Attribute names that read as "a snapshot version" in a comparison.
 VERSION_ATTR_NAMES = frozenset(
     {
         "version",
-        "memo_tag",
         "_synced_version",
         "_graph_version",
         "_tuples_version",

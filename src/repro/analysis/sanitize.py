@@ -2,9 +2,8 @@
 
 ``REPRO_SANITIZE=1`` arms thin assertion hooks at the engine's trust
 boundaries — cache put/get, patch application, distance-store adoption,
-the edge-memo fast path, the oracle's ball memo, and the worker-pool
-handshake — verifying at runtime the same invariants ``repro lint`` checks
-statically.  One CI lane runs the engine/parallel/distance/incremental
+the oracle's ball memo, and the worker-pool handshake — verifying at
+runtime the same invariants ``repro lint`` checks statically.  One CI lane runs the engine/parallel/distance/incremental
 suites with the sanitizer armed.
 
 Cost discipline: every hook site is guarded by ``if _sanitize.ENABLED:``
@@ -124,35 +123,6 @@ def store_adopted(compiled, store) -> None:
             f"handed out for snapshot v{compiled.version} of "
             f"{compiled.num_nodes} nodes (graph "
             f"v{graph.version if graph is not None else '?'})"
-        )
-
-
-# ----------------------------------------------------------------------
-# fixpoint edge memo
-# ----------------------------------------------------------------------
-
-
-def edge_memo_hit(entry) -> None:
-    """A validated edge-memo entry must be internally consistent.
-
-    Entries are ``(parent_static, child_static, survivors, counts)``:
-    survivors are a subset of the parent candidates, and exactly the
-    candidates with a positive support count.  ``counts`` is ``None`` for a
-    count-free entry recorded by a *final* edge check (selectivity-ordered
-    refinement); such entries carry no per-candidate supports to validate.
-    """
-    if not isinstance(entry, tuple) or len(entry) != 4:
-        fail(f"edge memo entry has shape {type(entry).__name__}; expected 4-tuple")
-    parent_static, _child_static, survivors, counts = entry
-    if survivors & ~parent_static:
-        fail(
-            "edge memo entry's survivors are not a subset of its parent "
-            "candidate bits"
-        )
-    if counts is not None and survivors.bit_count() != len(counts):
-        fail(
-            f"edge memo entry records {len(counts)} supported candidates "
-            f"but {survivors.bit_count()} survivors"
         )
 
 

@@ -122,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle",
         choices=sorted(_ORACLES),
         default="compiled",
-        help="distance substrate (default: compiled — the lazy flat-array engine)",
+        help="distance substrate (default: compiled — the session's own "
+        "set-at-a-time route over the compiled snapshot; the others run the "
+        "counting refinement against that oracle)",
     )
     match_parser.add_argument(
         "--json", action="store_true", help="print the match as JSON instead of text"
@@ -332,8 +334,8 @@ def _command_match(args: argparse.Namespace) -> int:
         pattern = _parse_dsl_or_exit(args.q, name="cli-query")
     else:
         pattern = load_pattern_json(args.pattern)
-    # "compiled" is the handle's own lazy oracle; anything else is an
-    # explicit substrate the session must not bypass.
+    # "compiled" is the handle's own route; anything else is an explicit
+    # substrate the session must not bypass.
     oracle = None if args.oracle == "compiled" else _ORACLES[args.oracle](graph)
     handle = GraphHandle(graph, oracle=oracle)
     view = handle.query(pattern).match()

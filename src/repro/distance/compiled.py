@@ -20,17 +20,17 @@ space and computes only what a query touches:
 * :class:`CompiledDistanceMatrix` — a :class:`~repro.distance.oracle.DistanceOracle`
   whose rows are *lazily* computed per-source ``array('i')`` vectors behind
   a size-capped LRU.  Columns are answered by an on-demand reverse BFS — a
-  full column map is never built.  It is the default oracle of
-  :func:`~repro.matching.bounded.match`: together with the worklist
-  refinement it computes balls only for live candidates instead of all
-  ``|V|^2`` pairs.  Each ball miss is one kernel call: dense up to
-  :data:`DENSE_BALL_MAX_NODES` nodes (a bitset of at most 1 KiB), sparse
-  above (see :meth:`FlatBFSKernel.ball_nodes`).  A dense ball of a finite
-  bound ``b >= 3`` is *composed* rather than searched: under the
-  nonempty-path semantics ``ball(v, b)`` is the union over the neighbours
-  ``j`` of ``{j} | ball(j, b - 1)``, so with the sub-balls memoised it
-  costs one OR per neighbour instead of one per node within ``b - 1``
-  hops.  The sub-balls a miss needs are planned top down and computed
+  full column map is never built.  Passed to
+  :func:`~repro.matching.bounded.match` as ``oracle=``, it serves the
+  counting refinement, which computes balls only for live candidates
+  instead of all ``|V|^2`` pairs.  Each ball miss is one kernel call:
+  dense up to :data:`DENSE_BALL_MAX_NODES` nodes (a bitset of at most
+  1 KiB), sparse above (see :meth:`FlatBFSKernel.ball_nodes`).  A dense
+  ball of a finite bound ``b >= 3`` is *composed* rather than searched:
+  under the nonempty-path semantics ``ball(v, b)`` is the union over the
+  neighbours ``j`` of ``{j} | ball(j, b - 1)``, so with the sub-balls
+  memoised it costs one OR per neighbour instead of one per node within
+  ``b - 1`` hops.  The sub-balls a miss needs are planned top down and computed
   bottom up (no recursion, no kernel call inside another, none computed
   twice within the miss; see :meth:`CompiledDistanceMatrix._composed_ball`).
   Bounds whose ``(b - 2) * |V|`` sub-balls do not fit in the ball memo are
@@ -91,10 +91,10 @@ class FlatBFSKernel:
 
     The kernel is patch-aware: nodes with an adjacency overlay (see
     :meth:`~repro.graph.compiled.CompiledGraph.patch_edge_insert`) are
-    answered from the overlay, and the decoded CSR tuples are re-derived
-    when the snapshot's version moves.  Nodes interned after creation are
-    covered automatically (the shared bitset cache grows with the
-    snapshot).  Obtain the per-snapshot kernel through
+    answered from the overlay, and the rows of the decoded CSR tuples that
+    a patch rewrote are replaced when the snapshot's version moves.  Nodes
+    interned after creation are covered automatically (the shared bitset
+    cache grows with the snapshot).  Obtain the per-snapshot kernel through
     :meth:`~repro.graph.compiled.CompiledGraph.flat_kernel` so these caches
     are shared by every consumer of the snapshot.
     """
@@ -106,7 +106,8 @@ class FlatBFSKernel:
         self._template = array("i", [-1]) * compiled.num_nodes
         self._fwd_tuples: Optional[List[Tuple[int, ...]]] = None
         self._rev_tuples: Optional[List[Tuple[int, ...]]] = None
-        self._tuples_version: Optional[int] = None
+        # The snapshot version each direction's tuples were last synced at.
+        self._tuples_version: List[Optional[int]] = [None, None]
 
     # ------------------------------------------------------------------
     # adjacency views
@@ -121,24 +122,17 @@ class FlatBFSKernel:
     def adjacency_tuples(self, reverse: bool = False) -> List[Tuple[int, ...]]:
         """Per-node neighbour tuples, decoded from the CSR + patch overlay.
 
-        Cached per direction and re-derived when the snapshot's version
-        moves (patches and interned nodes bump it), so the decode cost is
-        paid once per snapshot state, not once per search.
+        Decoded once per snapshot and direction.  When the snapshot's version
+        moves, only the rows the patch layer rewrote are replaced (its
+        overlay already holds them as tuples) and interned nodes are
+        appended, so a write costs the next search a scan of the overlay,
+        not a decode of all ``|V|`` rows.
         """
         compiled = self.compiled
-        if self._tuples_version != compiled.version:
-            self._fwd_tuples = None
-            self._rev_tuples = None
-            self._tuples_version = compiled.version
+        arrays = compiled.adjacency_arrays()
+        offsets, targets, patched = arrays[3:] if reverse else arrays[:3]
         tuples = self._rev_tuples if reverse else self._fwd_tuples
         if tuples is None:
-            fwd_off, fwd_tgt, fwd_patch, rev_off, rev_tgt, rev_patch = (
-                compiled.adjacency_arrays()
-            )
-            if reverse:
-                offsets, targets, patched = rev_off, rev_tgt, rev_patch
-            else:
-                offsets, targets, patched = fwd_off, fwd_tgt, fwd_patch
             tuples = [
                 patched[i] if i in patched
                 else tuple(targets[offsets[i] : offsets[i + 1]])
@@ -148,6 +142,13 @@ class FlatBFSKernel:
                 self._rev_tuples = tuples
             else:
                 self._fwd_tuples = tuples
+        elif self._tuples_version[reverse] != compiled.version:
+            # Interned nodes have empty CSR rows; patched ones come next.
+            tuples.extend([()] * (compiled.num_nodes - len(tuples)))
+            for i, row in patched.items():
+                if tuples[i] is not row:
+                    tuples[i] = row
+        self._tuples_version[reverse] = compiled.version
         return tuples
 
     # ------------------------------------------------------------------
@@ -496,17 +497,13 @@ class CompiledDistanceMatrix(DistanceOracle):
         """
         kernel = self._kernel
         reverse = not forward
-        # CSR slices, not the kernel's decoded tuples: those are re-derived
-        # for all of |V| after every patch, which a read after a write
-        # would pay for a handful of rows.
-        compiled = self._compiled
-        neighbours = compiled.predecessors_indices if reverse else compiled.successors_indices
+        adjacency = kernel.adjacency_tuples(reverse)
         memo = self._bits_lru.get
         levels = []  # (bound, [(miss, its neighbours)], held (bound - 1)-balls)
         misses = [index]
         level = bound
         while level > 2 and misses:
-            rows = [(i, neighbours(i)) for i in misses]
+            rows = [(i, adjacency[i]) for i in misses]
             held: Dict[int, Optional[int]] = {}
             for _, row in rows:
                 for j in row:

@@ -5,13 +5,13 @@ the pattern's bounds (and whether an update stream is attached) and picks
 one of three execution strategies, recording *why* in an explainable
 :class:`QueryPlan`:
 
-* ``simulation`` — every pattern edge carries bound 1, so the bound-1
-  "ball" of a candidate is exactly its direct adjacency row and the
-  fixpoint can run on cached CSR neighbour bitsets without ever touching a
-  distance oracle (graph simulation and bounded simulation coincide here,
-  Remark (2) of the paper);
-* ``bounded`` — some edge carries ``k > 1`` or ``*``, so bounded
-  reachability balls come from the session's compiled distance oracle;
+* ``simulation`` — every pattern edge carries bound 1, so ``anc_1`` of a
+  child set is its direct predecessors and the fixpoint runs on the CSR
+  adjacency without ever touching a distance oracle (graph simulation and
+  bounded simulation coincide here, Remark (2) of the paper);
+* ``bounded`` — some edge carries ``k > 1`` or ``*``, so ``anc_k`` is a
+  reverse level search of up to ``k`` levels (or, in a session with an
+  explicit oracle, each candidate's ball comes from that oracle);
 * ``incremental`` — an update stream is attached, so the session maintains
   the match with ``IncMatch`` instead of recomputing it after the updates.
 
@@ -61,10 +61,8 @@ STRATEGY_INCREMENTAL = "incremental"
 #: Minimum estimated-cardinality spread (max/min over the pattern's nodes)
 #: before selectivity ordering is applied.  Ordering pays when candidate
 #: sets differ — rare leaves prune huge parents before they are refined
-#: against each other.  On near-uniform estimates it buys nothing, and the
-#: final-edge fast path would check edges against *live* (shrunk) child
-#: sets, making the cross-query edge-seed memo unshareable — exactly the
-#: reuse a batch session/worker pool lives on — so the seed order is kept.
+#: against each other.  On near-uniform estimates it buys nothing, so the
+#: seed order is kept.
 ORDER_MIN_SKEW = 1.5
 
 
@@ -203,8 +201,7 @@ def plan_query(
         orders edge refinement by selectivity — but only when the
         estimates are actually skewed (spread >= :data:`ORDER_MIN_SKEW`);
         near-uniform estimates keep the pattern's native ("seed") edge
-        order, which preserves cross-query edge-memo sharing.  Without a
-        snapshot the plan always keeps the seed order.
+        order.  Without a snapshot the plan always keeps the seed order.
     selectivity_order:
         Disable to plan without cost-based edge ordering even when a
         compiled snapshot is available (used by the equivalence tests and
@@ -238,9 +235,9 @@ def plan_query(
     elif all_one and not custom_oracle:
         strategy = STRATEGY_SIMULATION
         reasons.append(
-            "every pattern edge carries bound 1: the bound-1 ball of a node is "
-            "its direct adjacency row, so the fixpoint runs on cached CSR "
-            "neighbour bitsets without a distance oracle"
+            "every pattern edge carries bound 1: anc_1 of a child set is its "
+            "predecessors, so the fixpoint runs on the CSR adjacency without "
+            "a distance oracle"
         )
     else:
         strategy = STRATEGY_BOUNDED
@@ -249,15 +246,19 @@ def plan_query(
                 "an explicit distance oracle was supplied, so the adjacency "
                 "fast path is not taken even though every bound is 1"
             )
+        if custom_oracle:
+            reasons.append(
+                "an explicit distance oracle was supplied: the counting "
+                "refinement checks each candidate's ball in that oracle"
+            )
         if has_unbounded:
             reasons.append(
-                "the pattern has '*' edges: unbounded reachability balls come "
-                "from the compiled distance oracle"
+                "the pattern has '*' edges: reachability is unbounded"
             )
         if finite:
             reasons.append(
-                f"largest finite bound k={max_bound}: bounded balls come from "
-                "the compiled distance oracle (lazy flat BFS, memoised bitsets)"
+                f"largest finite bound k={max_bound}: anc_k of a child set is "
+                "one reverse level search, at most k levels deep"
             )
 
     cardinalities: Tuple[Tuple[Any, int], ...] = ()
@@ -283,8 +284,8 @@ def plan_query(
         else:
             reasons.append(
                 "estimated cardinalities are near-uniform "
-                f"(spread {hi}/{lo} < {ORDER_MIN_SKEW}x): seed order kept so "
-                "the cross-query edge-seed memo stays shareable"
+                f"(spread {hi}/{lo} < {ORDER_MIN_SKEW}x): seed order kept, "
+                "ordering would buy nothing"
             )
         ordered_nodes: List[Any] = []
         for u, v in edge_order:

@@ -1,18 +1,18 @@
 """`MatchSession` — the unified query engine façade.
 
-PRs 1–3 compiled the three pillars of the system (graph core, IncMatch,
-distance kernels) but left every entry point wiring snapshots, oracles and
-caches together by hand, re-deriving state per call.  A
-:class:`MatchSession` pins that state **once** per data graph and amortises
-it across an entire query workload:
+A :class:`MatchSession` pins the state a query needs **once** per data
+graph and amortises it across an entire query workload:
 
 * one :class:`~repro.graph.compiled.CompiledGraph` snapshot (through the
   version-aware :func:`~repro.graph.compiled.compile_graph` cache) plus its
   :class:`~repro.distance.compiled.FlatBFSKernel`;
-* one :class:`~repro.distance.compiled.CompiledDistanceMatrix` oracle whose
-  ball memos live in a session-owned shared
-  :class:`~repro.distance.oracle.BoundedBitsCache`, so balls computed for
-  one query are reused by the next;
+* a memo of ``anc_b`` searches keyed by ``(bound, child set)`` for the
+  set-at-a-time route, shared by the session's queries and dropped on
+  every patch and re-pin;
+* lazily, one :class:`~repro.distance.compiled.CompiledDistanceMatrix`
+  oracle (:attr:`MatchSession.oracle`) whose ball memos live in a
+  session-owned shared :class:`~repro.distance.oracle.BoundedBitsCache`,
+  for callers that ask for balls directly;
 * lazily, the snapshot's shared
   :class:`~repro.distance.matrix.InternedDistanceStore` for the IncMatch
   machinery (:meth:`CompiledGraph.distance_store`), which the session's
@@ -23,13 +23,25 @@ it across an entire query workload:
   streams of the incremental matcher) invalidate exactly the entries they
   made stale.
 
-Each query is planned (:mod:`repro.engine.planner`) before execution —
-bound-1 patterns skip the distance oracle entirely, ``k``/``*`` bounds use
-the compiled oracle, attached update streams route to ``IncMatch`` — and
-:meth:`match_many` runs a whole pattern workload over the shared read-only
-snapshot, dispatching whole queries to the session's persistent fork
-worker pool when the workload is worth it (:mod:`repro.engine.parallel`).
-Without ``fork`` the batch runs serially.
+Each query is planned (:mod:`repro.engine.planner`) before execution and
+runs one of two refinement routes:
+
+* **set at a time** (the default, under both the ``bounded`` and the
+  ``simulation`` strategy): :func:`~repro.matching.bounded.refine_sets_to_fixpoint`
+  intersects each candidate set with one reverse level search from each
+  child set, seeded in the planner's sinks-first edge order; graph
+  simulation is the same refinement with every bound 1;
+* **counting** (a session opened with an explicit ``oracle=``, and the
+  IncMatch seed): :func:`~repro.matching.bounded.refine_bits_to_fixpoint`,
+  the paper's Algorithm Match, which counts each candidate's support in
+  the given oracle's balls, so the paper's matrix, BFS and 2-hop variants
+  measure their own work.
+
+Attached update streams route to ``IncMatch``, and :meth:`match_many` runs
+a whole pattern workload over the shared read-only snapshot, dispatching
+whole queries to the session's persistent fork worker pool when the
+workload is worth it (:mod:`repro.engine.parallel`).  Without ``fork`` the
+batch runs serially.
 
 The free functions :func:`repro.matching.bounded.match` and
 :func:`repro.matching.simulation.graph_simulation` are thin wrappers that
@@ -62,7 +74,11 @@ from repro.graph.compiled import CompiledGraph, compile_graph
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.graph.pattern import Pattern
 from repro.matching.affected import AffectedArea
-from repro.matching.bounded import candidate_bits, refine_bits_to_fixpoint
+from repro.matching.bounded import (
+    candidate_bits,
+    refine_bits_to_fixpoint,
+    refine_sets_to_fixpoint,
+)
 from repro.matching.incremental import IncrementalMatcher
 from repro.matching.match_result import MatchResult
 from repro.matching.simulation import ADJACENCY_ORACLE
@@ -81,15 +97,19 @@ AUTO_POOL_MIN_QUERIES = 4
 #: patterns are dropped.  The matchers share their snapshot's one distance
 #: store, so each costs only its pattern's match and candidate bitsets.
 DEFAULT_MAX_MATCHERS = 16
-#: Cap on memoised edge-type seed entries (initial per-edge support counts,
-#: shared across the queries of one session — see
-#: :func:`repro.matching.bounded.refine_bits_to_fixpoint`).  Each entry costs
-#: roughly one small int per surviving candidate of its parent predicate.
+#: Cap on memoised ``anc_b`` searches of the set-at-a-time route, keyed by
+#: ``(bound, child set)`` and shared across the queries of one session (see
+#: :func:`repro.matching.bounded.refine_sets_to_fixpoint`).  Each entry costs
+#: two ``|V|``-bit integers: the child set and its ancestor set.
 DEFAULT_EDGE_CACHE_SIZE = 512
 
 
 class MatchSession:
     """A standing query session over one (possibly evolving) data graph.
+
+    Queries run the set-at-a-time refinement by default and the counting
+    refinement (the paper's Algorithm Match) when the session is opened
+    with an explicit *oracle*; see the module docstring.
 
     Parameters
     ----------
@@ -100,16 +120,22 @@ class MatchSession:
         snapshot patched in place; out-of-band mutations are detected at the
         next query and answered with a re-pin.
     oracle:
-        An explicit distance substrate to use instead of the session-owned
-        :class:`CompiledDistanceMatrix`.  Supplying one disables the
-        planner's adjacency fast path (the oracle is always consulted), so
-        the paper's BFS/2-hop variants measure what they claim to.
+        An explicit distance substrate.  Supplying one switches every query
+        to the counting route (the paper's Algorithm Match) against that
+        oracle and disables the planner's adjacency fast path, so the
+        paper's matrix/BFS/2-hop variants measure what they claim to.
+        Without it, queries run the set-at-a-time route, which needs no
+        oracle.
     on_cyclic:
         Passed through to spawned incremental matchers: ``"raise"``
         (default) or ``"recompute"`` for insertions with cyclic patterns.
     result_cache_size, bits_cache_size:
-        Caps for the result cache and the shared ball-bitset LRU (``None``
-        where accepted = unbounded).
+        Caps for the result cache and the shared ball-bitset LRU of
+        :attr:`oracle` (``None`` where accepted = unbounded).
+    edge_cache_size:
+        Cap on the set-at-a-time route's ``(bound, child set) -> anc_b``
+        memo (``None`` = unbounded, ``0`` = no memo).  Unused with an
+        explicit *oracle*.
     selectivity_order:
         When true (default), plans carry a cost-based edge refinement order
         estimated from the snapshot's attribute-index popcounts and the
@@ -141,10 +167,9 @@ class MatchSession:
         self._graph = graph
         self._on_cyclic = on_cyclic
         self._bits_cache = BoundedBitsCache(bits_cache_size)
-        # Edge-type seed memo for the fixpoint (cleared on every snapshot
-        # move); disabled for custom oracles, whose ball semantics the
-        # session cannot vouch for across queries.
-        self._edge_cache = (
+        # The set-at-a-time route's anc_b memo (cleared on every snapshot
+        # move); an explicit oracle's counting route does not use it.
+        self._ancestor_cache = (
             BoundedBitsCache(edge_cache_size) if edge_cache_size != 0 else None
         )
         self._oracle = oracle
@@ -182,7 +207,7 @@ class MatchSession:
     def oracle(self) -> DistanceOracle:
         """The session's distance oracle (built lazily for the default).
 
-        Simulation-only workloads never pay for it; the first bounded query
+        The default set-at-a-time route never consults it; the first access
         materialises a :class:`CompiledDistanceMatrix` whose ball memos live
         in the session's shared bits cache.
         """
@@ -217,15 +242,15 @@ class MatchSession:
                 compiled.add_patch_listener(self._on_snapshot_patched)
                 self._compiled = compiled
             self._cache.evict_stale(compiled.version)
-            if self._edge_cache is not None:
-                self._edge_cache.clear()
+            if self._ancestor_cache is not None:
+                self._ancestor_cache.clear()
         return compiled
 
     def _on_snapshot_patched(self, version_before: int) -> None:
         """Patch-layer hook: drop results the mutation made stale."""
         self._cache.evict_stale(self._compiled.version)
-        if self._edge_cache is not None:
-            self._edge_cache.clear()
+        if self._ancestor_cache is not None:
+            self._ancestor_cache.clear()
 
     # ------------------------------------------------------------------
     # planning
@@ -413,22 +438,27 @@ class MatchSession:
         for bits in mat_bits.values():
             if not bits:
                 return MatchResult.empty(pattern_nodes)
-        oracle = (
-            ADJACENCY_ORACLE if plan.strategy == STRATEGY_SIMULATION else self.oracle
-        )
-        refine_bits_to_fixpoint(
+        simulation = plan.strategy == STRATEGY_SIMULATION
+        if self._custom_oracle:
+            # The paper's Algorithm Match against the oracle it was given:
+            # the BFS/2-hop/matrix variants must measure their own work.
+            refine_bits_to_fixpoint(
+                pattern,
+                ADJACENCY_ORACLE if simulation else self._oracle,
+                compiled,
+                mat_bits,
+                stop_when_empty=True,
+                edge_order=plan.edge_order or None,
+            )
+        elif not refine_sets_to_fixpoint(
             pattern,
-            oracle,
             compiled,
             mat_bits,
-            stop_when_empty=True,
-            # The seed memo is only sound when the session controls the
-            # oracle; the paper's BFS/2-hop variants must measure their own
-            # work, and an arbitrary oracle need not be pure per snapshot.
-            edge_memo=None if self._custom_oracle else self._edge_cache,
-            memo_tag=plan.strategy,
             edge_order=plan.edge_order or None,
-        )
+            unit_bounds=simulation,
+            ancestor_memo=self._ancestor_cache,
+        ):
+            return MatchResult.empty(pattern_nodes)
         if any(not bits for bits in mat_bits.values()):
             return MatchResult.empty(pattern_nodes)
         return MatchResult(
@@ -566,8 +596,8 @@ class MatchSession:
             self._pool = None
         self._cache.clear()
         self._matchers.clear()
-        if self._edge_cache is not None:
-            self._edge_cache.clear()
+        if self._ancestor_cache is not None:
+            self._ancestor_cache.clear()
 
     def __enter__(self) -> "MatchSession":
         return self

@@ -2,41 +2,42 @@
 
 Given a pattern ``P`` and a data graph ``G``, :func:`match` computes the
 unique maximum match ``S`` of ``P`` in ``G`` under bounded simulation, or the
-empty relation when ``P`` does not match ``G``.
+empty relation when ``P`` does not match ``G``: the greatest relation with
+``mat(u) ⊆ anc_b(mat(u'))`` for every pattern edge ``(u, u')`` of bound
+``b``, where ``anc_b(S)`` is every node with a nonempty path of length
+``<= b`` into ``S``.
 
-The implementation follows the paper's worklist refinement:
+Both routes start from the same **candidates** (:func:`candidate_bits`):
+``mat(u)`` is every data node whose attributes satisfy the predicate of
+``u`` (plus the out-degree filter when ``u`` has outgoing pattern edges),
+as a Python-int bitset over the interned ids of the compiled snapshot
+(:mod:`repro.graph.compiled`).  They refine it in two ways:
 
-1. **Candidates** (``mat(u)``): every data node whose attributes satisfy the
-   predicate of ``u`` (plus the obvious out-degree filter when ``u`` has
-   outgoing pattern edges).
-2. **Initial pruning / refinement**: for every pattern edge ``(u, u')`` and
-   every candidate ``v`` of ``u`` the algorithm maintains how many candidates
-   of ``u'`` are reachable from ``v`` via a nonempty path within the edge
-   bound (the paper's ``desc`` sets).  A candidate whose count is zero for
-   some outgoing pattern edge cannot match and is scheduled for removal (the
-   paper's ``premv`` sets).
-3. **Propagation**: removing ``v'`` from ``mat(u')`` decrements the counts of
-   the candidates of every parent ``u`` that can reach ``v'`` within the
-   bound (the paper's ``anc`` sets); counts that hit zero trigger further
-   removals, until a fixpoint is reached.
-
-With a precomputed distance matrix the total cost is
-``O(|V||E| + |E_p||V|^2 + |V_p||V|)``, the bound of Theorem 3.1.  The
-function accepts any :class:`~repro.distance.oracle.DistanceOracle`, which is
-how the paper's ``BFS`` and ``2-hop`` variants are obtained.
+* **Set at a time** (:func:`refine_sets_to_fixpoint`, the default route of
+  :class:`~repro.engine.MatchSession` for both bounded simulation and
+  graph simulation).  ``anc_b(mat(u'))`` is one multi-source reverse level
+  search from the whole child set (:func:`ancestors_of_set`), and a
+  worklist of pattern nodes intersects ``mat(u)`` with it, re-queueing the
+  parents of every node whose set shrank: the set-based simulation
+  refinement of Henzinger, Henzinger & Kopke (FOCS 1995).  No ball of a
+  single candidate is computed and nothing is counted; a session memoises
+  the searches by ``(bound, child set)`` across its queries.
+* **Counting** (:func:`refine_bits_to_fixpoint`, the paper's worklist
+  refinement against a :class:`~repro.distance.oracle.DistanceOracle`).
+  For every pattern edge ``(u, u')`` and every candidate ``v`` of ``u`` it
+  keeps how many candidates of ``u'`` lie in ``v``'s forward ball (the
+  paper's ``desc`` sets); a count of zero removes ``v`` (``premv``), and a
+  removal decrements the counts of the parents' candidates (``anc``) until
+  a fixpoint.  With a precomputed distance matrix the cost is
+  ``O(|V||E| + |E_p||V|^2 + |V_p||V|)``, the bound of Theorem 3.1.  It is
+  the route of a session opened with an explicit ``oracle=`` (the paper's
+  matrix, ``BFS`` and ``2-hop`` variants of Exp-2 measure their own
+  oracle) and the seed of the incremental matcher.
 
 :func:`naive_match` is an intentionally simple fixpoint implementation and
-the one reference every execution route is tested against.
-
-:func:`match` runs the refinement over the *compiled* snapshot of the data
-graph (:mod:`repro.graph.compiled`) through a throwaway
-:class:`~repro.engine.MatchSession`: candidates come from the inverted
-attribute index as bitsets over interned integer ids
-(:func:`candidate_bits`), the oracle answers bounded reachability as
-bitsets, and support counting is ``(desc & mat).bit_count()``
-(:func:`refine_bits_to_fixpoint`).  Results decode back to original node ids
-at the :class:`~repro.matching.match_result.MatchResult` boundary.  The
-incremental matcher seeds its state with the same two functions.
+the one reference every execution route is tested against.  Results decode
+back to original node ids at the
+:class:`~repro.matching.match_result.MatchResult` boundary.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis import sanitize as _sanitize
 from repro.distance.oracle import DistanceOracle
 from repro.graph.compiled import CompiledGraph, bits_to_indices
 from repro.graph.datagraph import DataGraph, NodeId
@@ -56,6 +56,8 @@ __all__ = [
     "naive_match",
     "candidate_bits",
     "refine_bits_to_fixpoint",
+    "refine_sets_to_fixpoint",
+    "ancestors_of_set",
 ]
 
 
@@ -90,23 +92,23 @@ def match(
     The call is served by a throwaway :class:`~repro.engine.MatchSession`:
     planning, compiled snapshot pinning and execution live in
     :mod:`repro.engine`.  Hold a session yourself when issuing many queries
-    against one graph so ball memos and cached results survive between
-    calls.
+    against one graph so its ``anc_b`` memo and cached results survive
+    between calls.
 
     Parameters
     ----------
     pattern, graph:
         The pattern ``P`` and data graph ``G``.
     oracle:
-        The distance substrate used for bounded-connectivity checks.  By
-        default a :class:`~repro.distance.compiled.CompiledDistanceMatrix` —
-        the lazy flat-array engine, which together with the worklist
-        refinement computes balls only for live candidates.  Pass a
-        :class:`~repro.distance.matrix.DistanceMatrix` (the paper's
+        ``None`` (default) runs the set-at-a-time route
+        (:func:`refine_sets_to_fixpoint`), which needs no distance oracle.
+        Pass a :class:`~repro.distance.matrix.DistanceMatrix` (the paper's
         Algorithm Match, line 1),
+        :class:`~repro.distance.compiled.CompiledDistanceMatrix`,
         :class:`~repro.distance.bfs.BFSDistanceOracle` or
-        :class:`~repro.distance.twohop.TwoHopOracle` for the paper's
-        Exp-2 variants.
+        :class:`~repro.distance.twohop.TwoHopOracle` to run the counting
+        route (:func:`refine_bits_to_fixpoint`) against that oracle, as the
+        paper's Exp-2 variants do.
 
     Returns
     -------
@@ -126,22 +128,22 @@ def refine_bits_to_fixpoint(
     mat_bits: Dict[PatternNodeId, int],
     *,
     stop_when_empty: bool = False,
-    edge_memo=None,
-    memo_tag=None,
     edge_order=None,
 ) -> Set[Tuple[PatternNodeId, int]]:
-    """Refine *mat_bits* to the greatest bounded-simulation fixpoint.
+    """Refine *mat_bits* to the greatest fixpoint by counting supports.
 
-    Candidate sets are Python-int bitsets; support counting is a single
-    ``&`` plus ``bit_count()`` against the oracle's bitset reachability
+    The paper's Algorithm Match, run against *oracle*: the route of a
+    session opened with an explicit ``oracle=`` and the seed of the
+    incremental matcher.  Candidate sets are Python-int bitsets; support
+    counting is a single ``&`` plus ``bit_count()`` against the oracle's
+    bitset reachability
     (:meth:`~repro.distance.oracle.DistanceOracle.descendants_within_bits`).
     Refines *mat_bits* in place and returns the removed
     ``(pattern node, interned data index)`` pairs.
 
     The refinement runs in two phases.  The **seed phase** computes, for
-    every pattern edge ``(u, u')``, the support of each candidate of ``u``
-    against the *initial* candidate set of ``u'`` — a pure function of
-    ``(f_v(u), f_v(u'), bound)`` given the snapshot.  The **propagation
+    every pattern edge ``(u, u')``, the support of each live candidate of
+    ``u`` against the live candidate set of ``u'``.  The **propagation
     phase** is an edge worklist: an edge is rechecked only when ``mat(u')``
     shrank since its last check, and the recheck decrements each live
     candidate's support by ``|desc ∩ removed-delta|``.  Chaotic iteration
@@ -154,20 +156,6 @@ def refine_bits_to_fixpoint(
     fixpoint in a local ``(index, bound)`` table sized exactly to the live
     working set, so rechecks never recompute a ball even when the oracle's
     own LRU is smaller than the candidate sets.
-
-    *edge_memo* (a :class:`~repro.distance.oracle.BoundedBitsCache` or any
-    mapping with ``get``/``put``) memoises the seed phase **across calls**:
-    the entry for ``(memo_tag, f_v(u), f_v(u'), bound)`` stores the exact
-    candidate bitsets it was computed from plus the surviving candidates
-    and their support counts, so a batch workload whose patterns reuse edge
-    types (same predicates, same bound) skips whole first passes.  Entries
-    are self-validating — a lookup whose recorded bitsets differ from the
-    current initial candidate sets is treated as a miss — so a stale or
-    foreign entry can never corrupt a result; the *owner* is still
-    responsible for clearing the memo when the snapshot or the oracle's
-    answers change (the engine session drops it on every patch/re-pin).
-    *memo_tag* namespaces entries per oracle semantics (e.g. the engine
-    passes the plan strategy, since the adjacency oracle ignores bounds).
 
     With *stop_when_empty* the refinement returns as soon as some
     ``mat(u)`` empties — the overall match is then the empty relation and
@@ -188,13 +176,9 @@ def refine_bits_to_fixpoint(
     unions ancestor balls of the live child when the child set is the
     smaller side — and never re-entered by the propagation worklist.  Leaf
     (star/chain) sub-patterns are thereby resolved exactly once.  Only
-    edges inside pattern cycles keep the counting path.  Non-final edges
-    still count against the child's *initial* set, so the cross-query
-    *edge_memo* stays shareable; final edges use or populate the memo only
-    when both live sets are pristine (a final check against shrunk sets has
-    no propagation step to reconcile a stale entry).  An *edge_order* that
-    does not cover the pattern's edges exactly (a stale plan for a mutated
-    pattern) is ignored and the seed order is used.
+    edges inside pattern cycles keep the counting path.  An *edge_order*
+    that does not cover the pattern's edges exactly (a stale plan for a
+    mutated pattern) is ignored and the seed order is used.
     """
     removed: Set[Tuple[PatternNodeId, int]] = set()
     edges = pattern.edge_list()
@@ -225,17 +209,14 @@ def refine_bits_to_fixpoint(
         edges_into.setdefault(edge[1], []).append(edge)
 
     # ------------------------------------------------------------------
-    # Seed phase: initial support per edge, against the *initial* candidate
-    # sets (not the partially refined ones) so the answer is a function of
-    # the edge type alone and can be shared through *edge_memo*.  Removals
+    # Seed phase: initial support per edge against the live sets.  Removals
     # discovered here are reconciled by the propagation phase below.
     #
     # In ordered mode (a planner edge_order) the loop additionally tracks
     # which pattern nodes are *settled* — their candidate set can never
     # shrink again because every one of their out-edges has been checked
     # against a settled child.  Leaves are settled from the start; an edge
-    # whose child is settled is *final* and is evaluated count-free against
-    # the live sets.
+    # whose child is settled is *final* and is evaluated count-free.
     # ------------------------------------------------------------------
     use_order = False
     if edge_order:
@@ -259,133 +240,77 @@ def refine_bits_to_fixpoint(
     else:
         seed_edges = edges
 
-    static_bits = dict(mat_bits)
     shrunk_nodes: Set[PatternNodeId] = set()
     for edge in seed_edges:
         u, u_child = edge
         bound = pattern.bound(u, u_child)
         final_edge = use_order and u_child in settled
-        parent_static = static_bits[u]
-        child_static = static_bits[u_child]
         parent_live = mat_bits[u]
         child_live = mat_bits[u_child]
-        memo_key = None
-        entry = None
-        if edge_memo is not None:
-            # The child's initial candidates depend on whether it carries the
-            # out-degree filter (it has outgoing pattern edges), so sink and
-            # non-sink uses of one edge type key separate entries instead of
-            # thrashing one.
-            memo_key = (
-                memo_tag,
-                pattern.predicate(u),
-                pattern.predicate(u_child),
-                bound,
-                pattern.out_degree(u_child) > 0,
-            )
-            entry = edge_memo.get(memo_key)
-            if entry is not None and (
-                entry[0] != parent_static or entry[1] != child_static
+        if final_edge:
+            counts = None
+            if (
+                ancestors is not None
+                and child_live.bit_count() < parent_live.bit_count()
             ):
-                entry = None
-            if entry is not None and final_edge and (
-                parent_live != parent_static or child_live != child_static
-            ):
-                # A final check against shrunk live sets has no propagation
-                # step to reconcile a memo entry recorded for larger sets.
-                entry = None
-            if entry is not None and not final_edge and entry[3] is None:
-                # Count-free entries carry no supports for propagation.
-                entry = None
-        if entry is None:
-            if final_edge:
-                counts = None
-                if (
-                    ancestors is not None
-                    and child_live.bit_count() < parent_live.bit_count()
-                ):
-                    # The live child set is the smaller side: union its
-                    # ancestor balls and intersect once, instead of one
-                    # forward ball per live parent candidate.
-                    mask = 0
-                    for j in bits_to_indices(child_live):
-                        rkey = (j, bound)
-                        aball = rballs.get(rkey)
-                        if aball is None:
-                            aball = ancestors(compiled, j, bound)
-                            rballs[rkey] = aball
-                        mask |= aball
-                    survivors = parent_live & mask
-                else:
-                    survivors = parent_live
-                    for v in bits_to_indices(parent_live):
-                        key = (v, bound)
-                        ball = balls.get(key)
-                        if ball is None:
-                            ball = descendants(compiled, v, bound)
-                            balls[key] = ball
-                        if type(ball) is int:
-                            alive = bool(ball & child_live)
-                        else:
-                            alive = False
-                            for j in ball:
-                                if child_live >> j & 1:
-                                    alive = True
-                                    break
-                        if not alive:
-                            survivors &= ~(1 << v)
-                if (
-                    edge_memo is not None
-                    and parent_live == parent_static
-                    and child_live == child_static
-                ):
-                    edge_memo.put(
-                        memo_key, (parent_static, child_static, survivors, None)
-                    )
+                # The live child set is the smaller side: union its
+                # ancestor balls and intersect once, instead of one
+                # forward ball per live parent candidate.
+                mask = 0
+                for j in bits_to_indices(child_live):
+                    rkey = (j, bound)
+                    aball = rballs.get(rkey)
+                    if aball is None:
+                        aball = ancestors(compiled, j, bound)
+                        rballs[rkey] = aball
+                    mask |= aball
+                survivors = parent_live & mask
             else:
-                # Ordered mode iterates only the live parents (dead
-                # candidates cannot resurrect) but still counts against the
-                # child's initial set so the memo entry stays shareable.
-                count_parent = parent_live if use_order else parent_static
-                counts = {}
-                survivors = count_parent
-                for v in bits_to_indices(count_parent):
+                survivors = parent_live
+                for v in bits_to_indices(parent_live):
                     key = (v, bound)
                     ball = balls.get(key)
                     if ball is None:
                         ball = descendants(compiled, v, bound)
                         balls[key] = ball
                     if type(ball) is int:
-                        count = (ball & child_static).bit_count()
+                        alive = bool(ball & child_live)
                     else:
-                        count = 0
+                        alive = False
                         for j in ball:
-                            count += child_static >> j & 1
-                    if count:
-                        counts[v] = count
-                    else:
+                            if child_live >> j & 1:
+                                alive = True
+                                break
+                    if not alive:
                         survivors &= ~(1 << v)
-                if edge_memo is not None and count_parent == parent_static:
-                    edge_memo.put(
-                        memo_key, (parent_static, child_static, survivors, counts)
-                    )
-                    # The propagation phase mutates its counts in place; the
-                    # memoised dict must stay pristine for the next query.
-                    counts = dict(counts)
         else:
-            if _sanitize.ENABLED:
-                _sanitize.edge_memo_hit(entry)
-            survivors = entry[2]
-            counts = None if final_edge else dict(entry[3])
+            counts = {}
+            survivors = parent_live
+            for v in bits_to_indices(parent_live):
+                key = (v, bound)
+                ball = balls.get(key)
+                if ball is None:
+                    ball = descendants(compiled, v, bound)
+                    balls[key] = ball
+                if type(ball) is int:
+                    count = (ball & child_live).bit_count()
+                else:
+                    count = 0
+                    for j in ball:
+                        count += child_live >> j & 1
+                if count:
+                    counts[v] = count
+                else:
+                    survivors &= ~(1 << v)
         support_count[edge] = counts
-        checked_child_bits[edge] = child_live if final_edge else child_static
-        dead = mat_bits[u] & ~survivors
+        checked_child_bits[edge] = child_live
+        dead = parent_live & ~survivors
         if dead:
-            mat_bits[u] &= survivors
+            mat_bits[u] = survivors
             for v in bits_to_indices(dead):
                 removed.add((u, v))
             shrunk_nodes.add(u)
-            if stop_when_empty and not mat_bits[u]:
+            if stop_when_empty and not survivors:
                 return removed
         if use_order:
             out_remaining[u] -= 1
@@ -461,6 +386,109 @@ def refine_bits_to_fixpoint(
                     queued.add(parent_edge)
                     worklist.append(parent_edge)
     return removed
+
+
+#: Mark digits of the reverse level search: a reached node (2) reads "1".
+_REACHED_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"001")
+
+
+def ancestors_of_set(compiled: CompiledGraph, targets: int, bound: Optional[int]) -> int:
+    """``anc_b(targets)``: the nodes with a nonempty path of length ``<= bound`` into *targets*.
+
+    One multi-source reverse level search over the kernel's decoded reverse
+    adjacency (CSR plus patch overlay) that expands each node at most once:
+    a target reached again is marked but not expanded, since its expansion
+    at depth 0 already covers every shorter path.  Marks live in a
+    ``bytearray`` that is read back as one binary numeral, not as one bitset
+    row per node.  ``bound=None`` is unbounded.
+    """
+    marks = bytearray(compiled.num_nodes)
+    frontier = bits_to_indices(targets)
+    for i in frontier:
+        marks[i] = 1
+    adjacency = compiled.flat_kernel().adjacency_tuples(reverse=True)
+    depth = 0
+    while frontier and (bound is None or depth < bound):
+        depth += 1
+        reached: List[int] = []
+        append = reached.append
+        for i in frontier:
+            for j in adjacency[i]:
+                mark = marks[j]
+                if mark != 2:
+                    marks[j] = 2
+                    if not mark:
+                        append(j)
+        frontier = reached
+    return int(marks.translate(_REACHED_DIGITS)[::-1] or b"0", 2)
+
+
+def refine_sets_to_fixpoint(
+    pattern: Pattern,
+    compiled: CompiledGraph,
+    mat_bits: Dict[PatternNodeId, int],
+    *,
+    edge_order=None,
+    unit_bounds: bool = False,
+    ancestor_memo=None,
+) -> bool:
+    """Refine *mat_bits* in place, a whole candidate set at a time.
+
+    The greatest fixpoint of ``mat(u) ⊆ anc_b(mat(u'))`` over the pattern
+    edges ``(u, u')`` of bound ``b`` (every ``b`` is 1 with *unit_bounds*,
+    which is graph simulation): the set-based simulation refinement of
+    Henzinger, Henzinger & Kopke (FOCS 1995).  A worklist of pattern nodes,
+    seeded in *edge_order* (the planner's sinks-first order) when it covers
+    the pattern's edges, intersects each node's set with
+    :func:`ancestors_of_set` of every child set and re-queues the node's
+    parents whenever its set shrinks.  Returns ``False`` as soon as a set
+    empties (the relation is then empty and *mat_bits* partial), else
+    ``True``.
+
+    *ancestor_memo* (a :class:`~repro.distance.oracle.BoundedBitsCache`)
+    keeps ``(bound, child set) -> anc_b(child set)`` across calls; each
+    entry carries the snapshot version it was searched at, and an entry of
+    another version is a miss.
+    """
+    edges = pattern.edge_list()
+    if edge_order and len(edge_order) == len(edges) and set(edge_order) == set(edges):
+        edges = edge_order
+    children: Dict[PatternNodeId, List[Tuple[PatternNodeId, Optional[int]]]] = {}
+    parents: Dict[PatternNodeId, List[PatternNodeId]] = {}
+    for u, child in edges:
+        bound = 1 if unit_bounds else pattern.bound(u, child)
+        children.setdefault(u, []).append((child, bound))
+        parents.setdefault(child, []).append(u)
+    if not all(mat_bits.values()):
+        return False
+    version = compiled.version
+    queue = deque(children)
+    queued = set(children)
+    while queue:
+        u = queue.popleft()
+        queued.discard(u)
+        bits = mat_bits[u]
+        for child, bound in children[u]:
+            key = (bound, mat_bits[child])
+            entry = ancestor_memo.get(key) if ancestor_memo is not None else None
+            if entry is not None and entry[0] == version:
+                ancestors = entry[1]
+            else:
+                ancestors = ancestors_of_set(compiled, key[1], bound)
+                if ancestor_memo is not None:
+                    ancestor_memo.put(key, (version, ancestors))
+            bits &= ancestors
+            if not bits:
+                break
+        if bits != mat_bits[u]:
+            mat_bits[u] = bits
+            if not bits:
+                return False
+            for parent in parents.get(u, ()):
+                if parent not in queued:
+                    queued.add(parent)
+                    queue.append(parent)
+    return True
 
 
 def naive_match(pattern: Pattern, graph: DataGraph) -> MatchResult:

@@ -6,12 +6,16 @@ Section 2.2 — and serves as the paper's baseline.
 
 The refinement runs over the compiled snapshot of the graph
 (:mod:`repro.graph.compiled`): candidate sets are bitsets over interned
-integer ids and the fixpoint is the shared edge-worklist refinement of
-:func:`repro.matching.bounded.refine_bits_to_fixpoint`, driven by a
-"distance oracle" whose balls are simply the CSR adjacency rows — graph
-simulation *is* bounded simulation with every ball truncated at one hop, so
-the two algorithms share one engine.  The running time of the counting
-refinement is ``O((|V| + |V_p|)(|E| + |E_p|))`` as cited in the paper.
+integer ids, and graph simulation *is* bounded simulation with every bound
+1, so the two algorithms share one engine.  By default that is the
+set-at-a-time refinement of
+:func:`repro.matching.bounded.refine_sets_to_fixpoint` with every bound 1
+(``mat(u) &= anc_1(mat(u'))``, the predecessors of the child set).  A
+session opened with an explicit oracle runs the counting refinement of
+:func:`repro.matching.bounded.refine_bits_to_fixpoint` instead, driven by
+:data:`ADJACENCY_ORACLE`, whose balls are simply the CSR adjacency rows;
+its running time is ``O((|V| + |V_p|)(|E| + |E_p|))`` as cited in the
+paper.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ __all__ = ["graph_simulation", "simulates", "ADJACENCY_ORACLE"]
 
 
 class _AdjacencyOracle:
-    """The default oracle of plain simulation: balls are the direct adjacency.
+    """The oracle of plain simulation's counting route: balls are the direct adjacency.
 
     Graph simulation maps pattern edges to single data edges, so the
     "descendants within the bound" of a candidate are exactly its direct
@@ -60,7 +64,8 @@ class _AdjacencyOracle:
 
 
 #: The shared bound-1 "oracle" instance (stateless).  The engine layer
-#: (:mod:`repro.engine`) reuses it for its simulation execution strategy.
+#: (:mod:`repro.engine`) uses it for the simulation strategy of a session
+#: opened with an explicit oracle.
 ADJACENCY_ORACLE = _AdjacencyOracle()
 
 

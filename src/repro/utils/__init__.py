@@ -1,11 +1,9 @@
 """Small supporting utilities shared across the library.
 
-The utilities are intentionally dependency-free: timers, a pairing-free
-addressable priority queue, validation helpers, and seeded random-number
-helpers.
+The utilities are intentionally dependency-free: timers, validation
+helpers, and seeded random-number helpers.
 """
 
-from repro.utils.priority_queue import AddressablePriorityQueue
 from repro.utils.rng import make_rng, spawn_seeds
 from repro.utils.timer import Stopwatch, format_duration
 from repro.utils.validation import (
@@ -15,7 +13,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "AddressablePriorityQueue",
     "Stopwatch",
     "format_duration",
     "make_rng",

@@ -17,9 +17,9 @@ class StaleBallServer:
         return hit
 
 
-def seeded_fixpoint(pattern, edge_memo):
-    entry = edge_memo.get((pattern, 1))
+def seeded_fixpoint(pattern, ancestor_memo):
+    entry = ancestor_memo.get((pattern, 1))
     if entry is None:
         entry = (0, 0, 0, {})
-        edge_memo.put((pattern, 1), entry)
+        ancestor_memo.put((pattern, 1), entry)
     return entry[2]

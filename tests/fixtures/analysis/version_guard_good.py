@@ -24,10 +24,10 @@ class PinnedBallServer:
         return hit
 
 
-def validated_fixpoint(parent_static, child_static, edge_memo):
+def validated_fixpoint(parent_static, child_static, ancestor_memo):
     # Entry-validation idiom: the cached tuple embeds its inputs and the
     # read path rejects mismatches, so no version compare is needed.
-    entry = edge_memo.get((parent_static, child_static))
+    entry = ancestor_memo.get((parent_static, child_static))
     if entry is not None and (
         entry[0] != parent_static or entry[1] != child_static
     ):

@@ -131,12 +131,48 @@ class TestFlatKernel:
         compiled = compile_graph(graph)
         kernel = compiled.flat_kernel()
         kernel.distance_row(0)
-        tuples_before = kernel._fwd_tuples
         graph.add_node("bump-marker")
-        compiled.intern_node("bump-marker", {})
+        index = compiled.intern_node("bump-marker", {})
         kernel.distance_row(0)
-        assert kernel._fwd_tuples is not tuples_before
+        # The cached decode follows the bump: the interned node gets its row.
+        assert len(kernel._fwd_tuples) == compiled.num_nodes
+        assert kernel._fwd_tuples[index] == ()
         graph.remove_node("bump-marker")
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_patched_tuples_equal_a_fresh_decode(self, seed):
+        """Row-by-row updates after mixed inserts, deletes and interned nodes."""
+        graph = _random_digraph(seed)
+        compiled = CompiledGraph.from_graph(graph)
+        kernel = compiled.flat_kernel()
+        rng = random.Random(seed)
+        for step in range(40):
+            kernel.adjacency_tuples()
+            kernel.adjacency_tuples(reverse=True)
+            nodes = graph.node_list()
+            if step % 7 == 6:
+                node = f"interned-{step}"
+                graph.add_node(node)
+                compiled.intern_node(node, {})
+                continue
+            source, target = rng.choice(nodes), rng.choice(nodes)
+            if graph.has_edge(source, target):
+                graph.remove_edge(source, target)
+                compiled.patch_edge_delete(source, target)
+            else:
+                graph.add_edge(source, target)
+                compiled.patch_edge_insert(source, target)
+            fresh = compiled_distance.FlatBFSKernel(compiled)
+            for reverse in (False, True):
+                assert kernel.adjacency_tuples(reverse) == fresh.adjacency_tuples(reverse)
+        for node in graph.nodes():
+            index = compiled.id_of(node)
+            assert {compiled.node_of(j) for j in kernel.adjacency_tuples()[index]} == (
+                set(graph.successors(node))
+            )
+            assert {
+                compiled.node_of(j) for j in kernel.adjacency_tuples(reverse=True)[index]
+            } == set(graph.predecessors(node))
 
     def test_shared_kernel_per_snapshot(self, graph):
         compiled = compile_graph(graph)

@@ -141,10 +141,8 @@ class TestPlanOrdering:
         assert plan.edge_order == (("u1", "leaf"), ("u0", "u1"))
 
     def test_near_uniform_estimates_keep_seed_order(self):
-        # Ordering buys nothing when every candidate set is the same size,
-        # and would stop the edge-seed memo from being shared across
-        # queries — the planner must keep the seed order below the skew
-        # threshold.
+        # Ordering buys nothing when every candidate set is the same size:
+        # the planner must keep the seed order below the skew threshold.
         graph = DataGraph()
         for index in range(8):
             graph.add_node(f"n{index}", label="even" if index % 2 == 0 else "odd")

@@ -90,31 +90,6 @@ class TestCacheHooks:
             cache.put(("fp", "v1", "compiled"), object())
 
 
-class TestEdgeMemoHook:
-    def test_consistent_entry_passes(self):
-        parent, child = 0b1011, 0b0110
-        survivors, counts = 0b0011, {0: 1, 1: 2}
-        sanitize.edge_memo_hit((parent, child, survivors, counts))
-
-    def test_survivors_outside_parent(self):
-        with pytest.raises(SanitizeError):
-            sanitize.edge_memo_hit((0b0011, 0b0110, 0b0100, {2: 1}))
-
-    def test_count_cardinality_mismatch(self):
-        with pytest.raises(SanitizeError):
-            sanitize.edge_memo_hit((0b1011, 0b0110, 0b0011, {0: 1}))
-
-    def test_count_free_final_edge_entry_passes(self):
-        # Ordered-kernel final edges store counts=None (no support counts).
-        sanitize.edge_memo_hit((0b1011, 0b0110, 0b0011, None))
-
-    def test_wrong_shape(self):
-        with pytest.raises(SanitizeError):
-            sanitize.edge_memo_hit((0b1, 0b1, 0b1))
-        with pytest.raises(SanitizeError):
-            sanitize.edge_memo_hit([0b1, 0b1, 0b1, {}])
-
-
 class TestPrimedBallHook:
     def test_sparse_and_dense_in_range(self):
         sanitize.primed_ball((0, 3, 7), 8)

@@ -1,4 +1,4 @@
-"""Unit tests for the utilities (priority queue, timer, validation, rng)."""
+"""Unit tests for the utilities (timer, validation, rng)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from repro.utils.priority_queue import AddressablePriorityQueue
 from repro.utils.rng import make_rng, spawn_seeds
 from repro.utils.timer import Stopwatch, format_duration
 from repro.utils.validation import (
@@ -15,78 +14,6 @@ from repro.utils.validation import (
     ensure_positive_int,
     ensure_probability,
 )
-
-
-class TestAddressablePriorityQueue:
-    def test_pop_order(self):
-        queue = AddressablePriorityQueue()
-        queue.push("b", 2)
-        queue.push("a", 1)
-        queue.push("c", 3)
-        assert queue.pop() == ("a", 1)
-        assert queue.pop() == ("b", 2)
-        assert queue.pop() == ("c", 3)
-        assert queue.empty()
-
-    def test_reprioritise_replaces_entry(self):
-        queue = AddressablePriorityQueue()
-        queue.push("x", 5)
-        queue.push("x", 1)
-        assert len(queue) == 1
-        assert queue.pop() == ("x", 1)
-        assert queue.empty()
-
-    def test_push_if_smaller(self):
-        queue = AddressablePriorityQueue()
-        assert queue.push_if_smaller("x", 5)
-        assert not queue.push_if_smaller("x", 9)
-        assert queue.push_if_smaller("x", 2)
-        assert queue.priority_of("x") == 2
-
-    def test_remove(self):
-        queue = AddressablePriorityQueue()
-        queue.push("x", 1)
-        queue.push("y", 2)
-        queue.remove("x")
-        queue.remove("not-there")
-        assert "x" not in queue
-        assert queue.pop() == ("y", 2)
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            AddressablePriorityQueue().pop()
-
-    def test_peek(self):
-        queue = AddressablePriorityQueue()
-        assert queue.peek() is None
-        queue.push("x", 3)
-        queue.push("y", 1)
-        assert queue.peek() == ("y", 1)
-        assert len(queue) == 2
-
-    def test_items_and_clear(self):
-        queue = AddressablePriorityQueue()
-        queue.push("a", 1)
-        queue.push("b", 2)
-        assert dict(queue.items()) == {"a": 1, "b": 2}
-        queue.clear()
-        assert queue.empty()
-
-    def test_matches_sorted_reference(self):
-        rng = random.Random(5)
-        queue = AddressablePriorityQueue()
-        reference = {}
-        for index in range(200):
-            key = f"k{rng.randrange(60)}"
-            priority = rng.random()
-            queue.push(key, priority)
-            reference[key] = priority
-        drained = []
-        while not queue.empty():
-            drained.append(queue.pop())
-        assert [item for item, _ in drained] == [
-            key for key, _ in sorted(reference.items(), key=lambda kv: kv[1])
-        ]
 
 
 class TestStopwatch:

@@ -12,6 +12,9 @@ The rule is scoped to the public-surface modules and flags ``return`` /
 syntactically carry engine-internal bit values: names or attributes
 ending in ``_bits``/``_bitset``, or calls to ``*_bits`` / ``*_compact``
 helpers, whose results are interned-id bitsets by project convention.
+Decode calls (:data:`_DECODE_NAMES`, including the
+:func:`~repro.graph.compiled.select_members` kernel and ``bit_count``) and
+bool-valued expressions (comparisons, ``not``) launder their operands.
 """
 
 from __future__ import annotations
@@ -41,8 +44,19 @@ def _is_public_module(module: ModuleModel) -> bool:
 
 #: Calls that decode interned bits into caller-space values; anything
 #: inside their arguments has been laundered and is safe to return.
+#: ``select_members`` picks a table's entries (node ids, names) by bit;
+#: ``bit_count`` turns a bitset into its size.
 _DECODE_NAMES = frozenset(
-    {"decode", "decode_bits", "bits_to_nodes", "node_of", "nodes_of", "len"}
+    {
+        "decode",
+        "decode_bits",
+        "bits_to_nodes",
+        "node_of",
+        "nodes_of",
+        "len",
+        "select_members",
+        "bit_count",
+    }
 )
 
 
@@ -53,6 +67,10 @@ def _bit_carrier(expr: ast.AST) -> Optional[str]:
     as a boundary: ``compiled.decode(self._mat_bits[u])`` is fine — the
     bits never escape.
     """
+    if isinstance(expr, ast.Compare) or (
+        isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.Not)
+    ):
+        return None  # a bool, whatever it compared
     if isinstance(expr, ast.Call):
         name = call_name(expr)
         if name in _DECODE_NAMES:
@@ -122,8 +140,8 @@ class DecodeBoundaryChecker(Checker):
                         ),
                         hint=(
                             "decode with the snapshot's interning table "
-                            "(e.g. MatchResult.from_compiled / "
-                            "bits_to_nodes) before returning"
+                            "(e.g. MatchResult.from_bits / "
+                            "select_members) before returning"
                         ),
                         symbol=fn.qualname,
                     )

@@ -178,12 +178,43 @@ def pool_task(task) -> None:
         )
 
 
-def pool_result(item) -> None:
-    """Results are ``(worker_id, task_id, status, payload)``."""
+def pool_result(item, pending=None, parent_version=None) -> None:
+    """Results are ``(worker_id, task_id, status, payload)``.
+
+    With the parent's *pending* tasks (``task_id -> _PendingTask``) and its
+    snapshot version, an ``ok`` payload of a pending task is also checked:
+    it is the fixpoint's ``{pattern node: bitset}`` with one non-negative
+    int per pattern node, and the parent's snapshot is still at the version
+    the task was dispatched at, since the parent decodes the bitsets
+    against it.
+    """
     if not isinstance(item, tuple) or len(item) != 4:
         fail(f"worker result has shape {type(item).__name__}; expected 4-tuple")
-    worker_id, task_id, status, _payload = item
+    worker_id, task_id, status, payload = item
     if not isinstance(worker_id, int) or not isinstance(task_id, int):
         fail(f"worker result has malformed ids: {worker_id!r}, {task_id!r}")
     if status not in _RESULT_STATUSES:
         fail(f"worker result has unknown status {status!r}")
+    task = pending.get(task_id) if pending is not None else None
+    if status != "ok" or task is None:
+        return
+    pattern_nodes = task.payload[0].node_list()
+    if (
+        not isinstance(payload, dict)
+        or len(payload) != len(pattern_nodes)
+        or any(
+            type(payload.get(u)) is not int or payload[u] < 0
+            for u in pattern_nodes
+        )
+    ):
+        fail(
+            f"worker answer for task {task_id} is not one bitset int per "
+            f"pattern node: {type(payload).__name__} for {len(pattern_nodes)} "
+            "pattern nodes"
+        )
+    if parent_version != task.version:
+        fail(
+            f"worker answer for task {task_id} was dispatched at snapshot "
+            f"v{task.version} but the parent is at v{parent_version}; its "
+            "bitsets would decode against the wrong interning"
+        )

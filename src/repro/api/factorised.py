@@ -92,15 +92,15 @@ class FactorisedView:
     def count_factorised(self) -> int:
         """The number of assignment tuples, as a product of column sizes.
 
-        ``O(|V_p|)`` multiplications over the match sets — the tuple set
-        itself is never enumerated and no column is built or sorted, so the
-        count is exact even when it far exceeds what could ever be
-        materialised.  (An empty pattern counts
-        one empty tuple, the usual empty-product convention.)
+        ``O(|V_p|)`` multiplications of the match-set sizes — the tuple set
+        itself is never enumerated and no set is decoded, built or sorted,
+        so the count is exact even when it far exceeds what could ever be
+        materialised.  (An empty pattern counts one empty tuple, the usual
+        empty-product convention.)
         """
         count = 1
         for u in self._pattern.nodes():
-            count *= len(self._result.matches(u))
+            count *= self._result.match_count(u)
             if not count:
                 return 0
         return count
@@ -195,6 +195,6 @@ class FactorisedView:
         return backtrack()
 
     def __repr__(self) -> str:
-        sizes = "x".join(str(len(self._result.matches(u))) for u in self._pattern.nodes())
+        sizes = "x".join(str(self._result.match_count(u)) for u in self._pattern.nodes())
         name = self._pattern.name or f"{self._pattern.number_of_nodes()} nodes"
         return f"<FactorisedView {name}: {sizes or '0'} factorised>"

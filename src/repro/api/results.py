@@ -180,11 +180,16 @@ class ResultView:
         return rows
 
     def to_mapping(self) -> Dict[str, List[str]]:
-        """JSON-friendly mapping: pattern node -> sorted data-node names."""
+        """JSON-friendly mapping: pattern node -> sorted data-node names.
+
+        Names come from :meth:`MatchResult.sorted_names`, so an undecoded
+        engine result renders without building any node-id set.
+        """
+        result = self._result
         return {
-            str(u): sorted(str(v) for v in self._result.matches(u))
-            for u in self._result.pattern_nodes()
-            if self._result.matches(u)
+            str(u): result.sorted_names(u)
+            for u in result.pattern_nodes()
+            if result.match_count(u)
         }
 
     def to_json(self, *, indent: Optional[int] = None) -> str:

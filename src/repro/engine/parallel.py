@@ -11,6 +11,11 @@ a :class:`~repro.engine.session.MatchSession` owns for its lifetime:
   work units from a task queue until the pool is shut down, so each
   worker's session state (ball memos, edge-type seeds, result cache) stays
   warm across batches;
+* a worker answers with the fixpoint's ``{pattern node: bitset}`` and
+  decodes nothing: the parent wraps it with
+  :meth:`~repro.matching.match_result.MatchResult.from_bits` against its
+  own snapshot, which the version handshake below guarantees is the one the
+  worker computed on;
 * the pool needs the ``fork`` start method: on platforms without it the
   session never builds one and :meth:`MatchSession.match_many` runs its
   serial loop;
@@ -59,13 +64,13 @@ import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import sanitize as _sanitize
+from repro.matching.match_result import MatchResult
 from repro.reliability import faults as _faults
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.planner import QueryPlan
     from repro.engine.session import MatchSession
     from repro.graph.pattern import Pattern
-    from repro.matching.match_result import MatchResult
 
 __all__ = ["fork_available", "WorkerPool", "DEFAULT_TASK_TIMEOUT"]
 
@@ -92,7 +97,7 @@ def fork_available() -> bool:
 
 
 def _serve(session: "MatchSession", tasks, results, worker_id: int) -> None:
-    """The worker loop: answer ``(pattern, plan)`` units with ``session._execute``.
+    """The worker loop: answer ``(pattern, plan)`` units with ``session._execute_bits``.
 
     *session* is the inherited session; its pinned snapshot's version is
     what the handshake compares against.  ``None`` on the task queue stops
@@ -123,7 +128,7 @@ def _serve(session: "MatchSession", tasks, results, worker_id: int) -> None:
             if session._compiled.version != expected_version:
                 results.put((worker_id, task_id, "stale", None))
                 continue
-            answer = session._execute(pattern, plan)
+            answer = session._execute_bits(pattern, plan)
             if _faults.ENABLED and _faults.should_fire("queue.stall"):
                 # Simulated result-queue stall: the answer is computed but
                 # never delivered.  The parent's deadline fires.
@@ -182,13 +187,14 @@ def _reap(processes: List, task_queue) -> None:
 class _PendingTask:
     """Parent-side record of one dispatched task."""
 
-    __slots__ = ("slot", "payload", "deadline", "owner")
+    __slots__ = ("slot", "payload", "deadline", "owner", "version")
 
     def __init__(self, slot: int, payload: Tuple["Pattern", "QueryPlan"]) -> None:
         self.slot = slot
         self.payload = payload
         self.deadline = 0.0
         self.owner: Optional[int] = None  # worker id after the ack
+        self.version: Optional[int] = None  # snapshot version it was sent at
 
 
 class WorkerPool:
@@ -386,6 +392,7 @@ class WorkerPool:
         # make them answer ``stale``, never silently serve the old graph.
         expected_version = self._session._compiled.version
         self._task_queue.put((task_id, expected_version, task.payload))
+        task.version = expected_version
         task.deadline = time.monotonic() + self._task_timeout
         return task_id
 
@@ -446,15 +453,18 @@ class WorkerPool:
         return max(0.005, horizon - now)
 
     def _collect(
-        self, pending: Dict[int, _PendingTask], sink: List[Optional["MatchResult"]]
+        self, pending: Dict[int, _PendingTask], sink: List[Optional[MatchResult]]
     ) -> bool:
         """Drain results for *pending* into *sink* (indexed by task slot).
 
-        Acks arm per-task deadlines; expired deadlines quarantine hung
+        An ``ok`` answer is a worker's ``{u: bitset}``, wrapped undecoded
+        into a lazy :class:`MatchResult` over the session's snapshot.  Acks
+        arm per-task deadlines; expired deadlines quarantine hung
         owners, dead workers are respawned mid-batch, and every task given
         up (or answered ``stale``/``error``) leaves its slot ``None`` for
         the caller's serial pass.  Returns ``False`` when the pool broke.
         """
+        compiled = self._session._compiled
         self._last_heard = time.monotonic()
         while pending:
             now = time.monotonic()
@@ -480,9 +490,10 @@ class WorkerPool:
                 continue
             self._last_heard = time.monotonic()
             if _sanitize.ENABLED:
-                # A malformed tuple is an engine invariant violation: raise
-                # it out of the collect loop, never swallow it.
-                _sanitize.pool_result(item)
+                # A malformed tuple or payload is an engine invariant
+                # violation: raise it out of the collect loop, never
+                # swallow it.
+                _sanitize.pool_result(item, pending, compiled.version)
             worker_id, task_id, status, payload = item
             task = pending.get(task_id)
             if task is None:
@@ -493,7 +504,9 @@ class WorkerPool:
                 continue
             del pending[task_id]
             if status == "ok":
-                sink[task.slot] = payload
+                sink[task.slot] = MatchResult.from_bits(
+                    payload, compiled, task.payload[0].node_list()
+                )
                 self._per_worker_executed[worker_id] = (
                     self._per_worker_executed.get(worker_id, 0) + 1
                 )
@@ -506,14 +519,14 @@ class WorkerPool:
 
     def run_units(
         self, units: Sequence[Tuple["Pattern", "QueryPlan"]]
-    ) -> List["MatchResult"]:
+    ) -> List[MatchResult]:
         """Execute the planned *units*, in order, with serial safety net.
 
         Every unit is answered: pooled when possible, serially in the
         parent for anything the pool did not deliver (pool down, stale
         version, worker crash/hang/error, stuck queue).
         """
-        results: List[Optional["MatchResult"]] = [None] * len(units)
+        results: List[Optional[MatchResult]] = [None] * len(units)
         if units and self.ensure():
             pending: Dict[int, _PendingTask] = {}
             try:

@@ -72,7 +72,7 @@ from repro.engine.planner import (
 )
 from repro.graph.compiled import CompiledGraph, compile_graph
 from repro.graph.datagraph import DataGraph, NodeId
-from repro.graph.pattern import Pattern
+from repro.graph.pattern import Pattern, PatternNodeId
 from repro.matching.affected import AffectedArea
 from repro.matching.bounded import (
     candidate_bits,
@@ -425,19 +425,28 @@ class MatchSession:
         return pool
 
     def _execute(self, pattern: Pattern, plan: QueryPlan) -> MatchResult:
-        """Run the planned fixpoint against the pinned snapshot.
+        """Run the planned fixpoint against the pinned snapshot (a lazy result)."""
+        return MatchResult.from_bits(
+            self._execute_bits(pattern, plan), self._compiled, pattern.node_list()
+        )
 
-        Uses :attr:`_compiled` directly (not :meth:`_sync`): forked workers
-        must execute against the snapshot pinned before the fork.
+    def _execute_bits(
+        self, pattern: Pattern, plan: QueryPlan
+    ) -> Dict[PatternNodeId, int]:
+        """The planned fixpoint's ``{u: bitset}``, one entry per pattern node.
+
+        Every set is ``0`` when the relation is empty.  Uses
+        :attr:`_compiled` directly (not :meth:`_sync`): forked workers must
+        execute against the snapshot pinned before the fork, and ship this
+        dict to the parent undecoded.
         """
         compiled = self._compiled
         pattern_nodes = pattern.node_list()
         if not pattern_nodes or compiled.num_nodes == 0:
-            return MatchResult.empty(pattern_nodes)
+            return dict.fromkeys(pattern_nodes, 0)
         mat_bits = candidate_bits(pattern, compiled)
-        for bits in mat_bits.values():
-            if not bits:
-                return MatchResult.empty(pattern_nodes)
+        if not all(mat_bits.values()):
+            return dict.fromkeys(pattern_nodes, 0)
         simulation = plan.strategy == STRATEGY_SIMULATION
         if self._custom_oracle:
             # The paper's Algorithm Match against the oracle it was given:
@@ -450,21 +459,18 @@ class MatchSession:
                 stop_when_empty=True,
                 edge_order=plan.edge_order or None,
             )
-        elif not refine_sets_to_fixpoint(
-            pattern,
-            compiled,
-            mat_bits,
-            edge_order=plan.edge_order or None,
-            unit_bounds=simulation,
-            ancestor_memo=self._ancestor_cache,
-        ):
-            return MatchResult.empty(pattern_nodes)
-        if any(not bits for bits in mat_bits.values()):
-            return MatchResult.empty(pattern_nodes)
-        return MatchResult(
-            {u: compiled.decode(bits) for u, bits in mat_bits.items()},
-            pattern_nodes=pattern_nodes,
-        )
+        else:
+            refine_sets_to_fixpoint(
+                pattern,
+                compiled,
+                mat_bits,
+                edge_order=plan.edge_order or None,
+                unit_bounds=simulation,
+                ancestor_memo=self._ancestor_cache,
+            )
+        if not all(mat_bits.values()):
+            return dict.fromkeys(pattern_nodes, 0)
+        return mat_bits
 
     # ------------------------------------------------------------------
     # incremental maintenance

@@ -43,8 +43,9 @@ snapshot's interned id space, repairs distances in the interned store with
 the compiled ``UpdateM``/``UpdateBM`` procedures (CSR adjacency, two-sided
 affected-pair restriction), and propagates match changes with bitset support
 counting (one ``&`` plus ``bit_count()`` per check).  Results are decoded to
-original node ids only at the :class:`AffectedArea`/:class:`MatchResult`
-boundary.
+original node ids only at the :class:`AffectedArea` boundary, and the
+:class:`MatchResult` of :attr:`IncrementalMatcher.match` only when it is
+read (see :meth:`MatchResult.from_bits`).
 
 Staleness and re-interning rules:
 
@@ -136,11 +137,13 @@ class IncrementalMatcher:
 
     @property
     def match(self) -> MatchResult:
-        """The current maximum match ``S`` (empty when some ``mat(u)`` is empty)."""
-        decode = self._compiled.decode
-        return MatchResult(
-            {u: decode(bits) for u, bits in self._mat_bits.items()},
-            pattern_nodes=self.pattern.node_list(),
+        """The current maximum match ``S`` (empty when some ``mat(u)`` is empty).
+
+        A lazy :class:`MatchResult` over a copy of the match bitsets: later
+        updates do not change it.
+        """
+        return MatchResult.from_bits(
+            self._mat_bits, self._compiled, self.pattern.node_list()
         )
 
     def mat(self, pattern_node: PatternNodeId) -> Set[NodeId]:

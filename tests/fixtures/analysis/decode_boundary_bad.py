@@ -16,3 +16,9 @@ class LeakySurface:
 
     def ball(self, source, bound):
         return self._session.descendants_within_bits(source, bound)
+
+    def names_and_raw(self, pattern_node):
+        # Decoding one value does not launder the raw bitset returned
+        # beside it.
+        names = select_members(self._names, self._mat_bits[pattern_node])
+        return sorted(names), self._mat_bits[pattern_node]

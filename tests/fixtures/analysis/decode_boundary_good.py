@@ -13,3 +13,12 @@ class DecodedSurface:
     def ball(self, source, bound):
         bits = self._session.descendants_within_bits(source, bound)
         return self._compiled.decode(bits)
+
+    def names(self, pattern_node):
+        return sorted(select_members(self._names, self._mat_bits[pattern_node]))
+
+    def count(self, pattern_node):
+        return self._mat_bits[pattern_node].bit_count()
+
+    def same(self, other):
+        return self._mat_bits == other._mat_bits

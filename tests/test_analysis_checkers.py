@@ -69,6 +69,7 @@ class TestDecodeBoundary:
         assert {f.symbol for f in hits} == {
             "LeakySurface.matched",
             "LeakySurface.ball",
+            "LeakySurface.names_and_raw",
         }
 
     def test_quiet_when_bits_are_decoded(self):

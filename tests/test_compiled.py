@@ -13,7 +13,14 @@ import random
 import pytest
 
 from repro.exceptions import NodeNotFoundError
-from repro.graph.compiled import CompiledGraph, compile_graph, iter_bits
+from repro.graph import compiled as compiled_module
+from repro.graph.compiled import (
+    CompiledGraph,
+    bits_to_indices,
+    compile_graph,
+    iter_bits,
+    select_members,
+)
 from repro.graph.datagraph import DataGraph
 from repro.graph.predicates import Predicate
 
@@ -133,6 +140,68 @@ class TestBitsets:
     def test_iter_bits(self):
         assert list(iter_bits(0)) == []
         assert list(iter_bits(0b101001)) == [0, 3, 5]
+
+
+class TestDecodeKernel:
+    """``bits_to_indices``/``decode`` against ``iter_bits``, on both routes."""
+
+    WIDTHS = (0, 1, 63, 64, 65, 1483, 8193, 30000)
+
+    @staticmethod
+    def bitsets(width: int, rng: random.Random):
+        """Random bitsets of at most *width* bits on both sides of the crossover.
+
+        Member counts run from one per bit to one per thousand bits,
+        bracketing ``_DENSE_WIDTH_PER_MEMBER``; each set also comes with
+        the top bit of its width set, and the top bit of every 64-bit word
+        is tried alone and with the lowest bit.
+        """
+        if width == 0:
+            yield 0
+            return
+        crossover = compiled_module._DENSE_WIDTH_PER_MEMBER
+        for per in (1, 2, crossover - 1, crossover, crossover + 1, 4 * crossover, 1000):
+            bits = 0
+            for index in rng.sample(range(width), max(1, width // per)):
+                bits |= 1 << index
+            yield bits
+            yield bits | 1 << (width - 1)
+        for top in range(63, width, 64):
+            yield 1 << top
+            yield 1 << top | 1
+        yield (1 << width) - 1
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        graph = DataGraph(name="wide")
+        for i in range(max(self.WIDTHS)):
+            graph.add_node(f"v{i}")
+        return compile_graph(graph)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_matches_iter_bits(self, width, wide):
+        rng = random.Random(width)
+        routes = set()
+        for bits in self.bitsets(width, rng):
+            expected = list(iter_bits(bits))
+            assert bits_to_indices(bits) == expected
+            assert wide.decode(bits) == {wide.node_of(i) for i in expected}
+            names = wide.node_table.names()
+            assert list(select_members(names, bits)) == [names[i] for i in expected]
+            if bits:
+                routes.add(compiled_module._is_dense(bits))
+        if width >= 64:
+            assert routes == {True, False}  # both routes ran
+
+    def test_node_table_names_follow_interning(self):
+        graph = random_graph(12)
+        compiled = compile_graph(graph)
+        table = compiled.node_table
+        assert table.names() == [str(node) for node in graph.node_list()]
+        graph.add_node(("late", 1))
+        compiled.intern_node(("late", 1), {})
+        assert table.names()[-1] == str(("late", 1))
+        assert len(table.names()) == compiled.num_nodes
 
 
 class TestAttributeIndex:

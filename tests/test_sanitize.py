@@ -13,10 +13,12 @@ from repro.analysis import sanitize
 from repro.analysis.sanitize import SanitizeError
 from repro.distance.matrix import InternedDistanceStore
 from repro.distance.oracle import BoundedBitsCache
-from repro.engine import MatchSession
+from repro.engine import MatchSession, fork_available
 from repro.engine.cache import ResultCache
+from repro.engine.parallel import _PendingTask
 from repro.graph.compiled import CompiledGraph, compile_graph
 from repro.graph.generators import random_data_graph
+from repro.graph.pattern import Pattern
 from repro.graph.pattern_generator import PatternGenerator
 from repro.matching.match_result import MatchResult
 
@@ -143,6 +145,61 @@ class TestPoolHandshakeHooks:
     def test_bad_result(self, item):
         with pytest.raises(SanitizeError):
             sanitize.pool_result(item)
+
+
+def pending_task(version=3):
+    """One pending task 7 for a two-node pattern, dispatched at *version*."""
+    pattern = Pattern()
+    pattern.add_node("a", "A")
+    pattern.add_node("b", "B")
+    task = _PendingTask(0, (pattern, None))
+    task.version = version
+    return {7: task}
+
+
+class TestPoolPayloadHook:
+    def test_one_bitset_per_pattern_node_passes(self):
+        pending = pending_task()
+        sanitize.pool_result((0, 7, "ok", {"a": 5, "b": 1 << 90}), pending, 3)
+        # An empty relation ships zeros.
+        sanitize.pool_result((0, 7, "ok", {"a": 0, "b": 0}), pending, 3)
+        # Only ok answers of pending tasks carry a bitset payload.
+        sanitize.pool_result((0, 7, "stale", None), pending, 3)
+        sanitize.pool_result((0, 8, "ok", None), pending, 3)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            None,
+            {"a": 5},
+            {"a": 5, "c": 1},
+            {"a": 5, "b": 1, "c": 2},
+            {"a": 5, "b": "1"},
+            {"a": 5, "b": 1.0},
+            {"a": -1, "b": 1},
+            # A decoded answer is not what the parent wraps.
+            MatchResult({"a": {"x"}, "b": {"y"}}),
+            {"a": {"x"}, "b": {"y"}},
+        ],
+    )
+    def test_malformed_payload_is_flagged(self, payload):
+        with pytest.raises(SanitizeError, match="one bitset int per pattern node"):
+            sanitize.pool_result((0, 7, "ok", payload), pending_task(), 3)
+
+    def test_snapshot_moved_since_dispatch_is_flagged(self):
+        with pytest.raises(SanitizeError, match="dispatched at snapshot v3"):
+            sanitize.pool_result((0, 7, "ok", {"a": 5, "b": 1}), pending_task(), 4)
+
+    @pytest.mark.skipif(not fork_available(), reason="the pool needs fork")
+    def test_armed_pooled_batch_raises_no_alarms(self, armed, graph):
+        generator = PatternGenerator(graph, seed=5)
+        patterns = [generator.generate(3, 3, 2) for _ in range(4)]
+        with MatchSession(graph) as serial:
+            expected = [serial.match(pattern) for pattern in patterns]
+        with MatchSession(graph) as session:
+            pooled = session.match_many(patterns, parallel=True, max_workers=2)
+            assert session.stats()["pool"]["serial_fallbacks"] == 0
+        assert pooled == expected
 
 
 def _missing_edge(graph):

@@ -23,23 +23,25 @@ looks current.  Each call returns a mapping
 
     ``{(source, sink): (old_distance, new_distance)}``
 
-over interned ids — exactly the paper's ``AFF1``, decoded at the
-:class:`~repro.matching.affected.AffectedArea` boundary.  Distances use
+over interned ids — exactly the paper's ``AFF1``, which
+:class:`~repro.matching.affected.AffectedArea` keeps interned until it is
+read.  Distances use
 :data:`repro.distance.oracle.INF` for "unreachable".  Each repair stamps the
 store with the snapshot version it reached (see
 :meth:`~repro.graph.compiled.CompiledGraph.distance_store`).
 
-The deletion repair is the standard two-phase affected-only procedure: the
+Both repairs pay in proportion to the distances that change.  The
+deletion repair is the standard two-phase affected-only procedure: the
 first phase identifies, per affected sink, the sources whose *every* old
 shortest path used the deleted edge; the second phase re-settles exactly
 those sources in order of distance, seeded from unaffected neighbours; as
 every edge weighs one hop, the priority queue is one bucket per distance
-(Dial's queue) rather than a heap.  The insertion repair uses the classic
-``d(x, y) <- min(d(x, y), d(x, s) + 1 + d(t, y))`` relaxation with the
-two-sided Ramalingam–Reps restriction: only sinks whose distance from the
-edge tail improves (``d(t, y) + 1 < d(s, y)``) and only sources whose
-distance to the edge head improves (``d(x, s) + 1 < d(x, t)``) are relaxed —
-a pure pruning, since skipped pairs provably cannot improve.
+(Dial's queue) rather than a heap.  The insertion repair relaxes
+``d(x, y) <- d(x, s) + 1 + d(t, y)`` only for sources whose distance to the
+edge head improves (``d(x, s) + 1 < d(x, t)``), and for each such source
+walks the shortest-path DAG of ``t``, expanding a node only while the
+source keeps improving: the improved sinks of a source are closed toward
+``t``, so the walk meets all of them and stops one edge past them.
 """
 
 from __future__ import annotations
@@ -249,15 +251,25 @@ def update_store_insert(
 def _relax_store_insert(
     store: InternedDistanceStore, si: int, ti: int
 ) -> InternedAffectedPairs:
-    """The insertion relaxation over the store's rows and columns.
+    """The insertion relaxation, one walk of the head's shortest-path DAG per source.
 
-    Every new shortest path decomposes as ``x ->* si -> ti ->* y``; a pair
-    can only improve when *both* endpoints improve against the inserted
-    edge's endpoints (the two-sided restriction — see the module docstring),
-    so the relaxation touches ``|improved ancestors| x |improved sinks|``
-    pairs instead of ``|ancestors| x |improved sinks|``.  An unreachable
-    cell (:data:`INF_CELL`) improves on any finite candidate; a candidate
-    longer than :data:`MAX_STORED_DISTANCE` raises
+    Every new shortest path decomposes as ``x ->* si -> ti ->* y``, so
+    ``d(x, y)`` improves to ``d(x, si) + 1 + d(ti, y)`` or stays.  The
+    improved sources are those whose distance to the edge head improves
+    (``d(x, si) + 1 < d(x, ti)``, one column scan).  For each, the improved
+    sinks are closed toward the head: if ``x`` improves at ``y``, it also
+    improves at every shortest-path parent ``z`` of ``y`` (``z -> y`` with
+    ``d(ti, z) + 1 = d(ti, y)``), since ``d(x, y) <= d(x, z) + 1``.  So a
+    walk from the head over the DAG of ``ti``'s shortest paths, expanding a
+    node only where ``x`` improves, meets every improved pair and looks one
+    edge past them; a node reached again through a second parent already
+    holds its new distance and is not expanded twice.  The DAG's edges are
+    found as the walks first expand each node and shared by all of them.
+    Neither the head's row nor the tail's column can change (a shortest
+    path never passes through its own endpoint twice), so both are read in
+    place while the walks write.  An unreachable cell (:data:`INF_CELL`)
+    improves on any finite candidate; a candidate longer than
+    :data:`MAX_STORED_DISTANCE` raises
     :class:`~repro.exceptions.DistanceOverflowError`.
     """
     n = store.num_nodes
@@ -265,31 +277,53 @@ def _relax_store_insert(
     affected: InternedAffectedPairs = {}
     # ``d + 1 < old`` with INF_CELL read as infinity: ``old == INF_CELL``
     # admits every finite ``d``, including 254 (whose 255 then overflows).
-    sinks = [
-        (y, dist_from_target + 1)
-        for y, (dist_from_target, old) in enumerate(zip(store.row(ti), store.row(si)))
-        if dist_from_target + 1 < old or old == INF_CELL != dist_from_target
-    ]
-    if not sinks:
-        return affected
     sources = [
-        (x * n, x, dist_to_source)
+        x
         for x, (dist_to_source, old) in enumerate(zip(store.column(si), store.column(ti)))
         if dist_to_source + 1 < old or old == INF_CELL != dist_to_source
     ]
     if not sources:
         return affected
-    for y, base in sinks:
-        for offset, x, dist_to_source in sources:
-            candidate = dist_to_source + base
-            old = flat[offset + y]
-            if candidate < old or old == INF_CELL:
-                if candidate > MAX_STORED_DISTANCE:
-                    raise DistanceOverflowError(
-                        f"inserted edge makes a shortest path of {candidate} hops"
+    row_t = store.row(ti)
+    fwd_offsets, fwd_targets, patched_fwd = store.compiled.adjacency_arrays()[:3]
+    # The DAG: ``y -> (d(ti, y) + 1, successors one level deeper)``.
+    dag: Dict[int, Tuple[int, List[int]]] = {}
+    for x in sources:
+        offset = x * n
+        base = flat[offset + si] + 1
+        old = flat[offset + ti]
+        if base > MAX_STORED_DISTANCE:
+            raise DistanceOverflowError(
+                f"inserted edge makes a shortest path of {base} hops"
+            )
+        affected[(x, ti)] = (INF if old == INF_CELL else old, base)
+        flat[offset + ti] = base
+        frontier = [ti]
+        while frontier:
+            reached: List[int] = []
+            for y in frontier:
+                node = dag.get(y)
+                if node is None:
+                    depth = row_t[y] + 1
+                    successors = patched_fwd.get(y)
+                    if successors is None:
+                        successors = fwd_targets[fwd_offsets[y] : fwd_offsets[y + 1]]
+                    node = dag[y] = (
+                        depth,
+                        [z for z in successors if row_t[z] == depth < INF_CELL],
                     )
-                affected[(x, y)] = (INF if old == INF_CELL else old, candidate)
-                flat[offset + y] = candidate
+                candidate = base + node[0]
+                for z in node[1]:
+                    old = flat[offset + z]
+                    if candidate < old or old == INF_CELL:
+                        if candidate > MAX_STORED_DISTANCE:
+                            raise DistanceOverflowError(
+                                f"inserted edge makes a shortest path of {candidate} hops"
+                            )
+                        affected[(x, z)] = (INF if old == INF_CELL else old, candidate)
+                        flat[offset + z] = candidate
+                        reached.append(z)
+            frontier = reached
     return affected
 
 

@@ -31,17 +31,18 @@ runs one of two refinement routes:
   intersects each candidate set with one reverse level search from each
   child set, seeded in the planner's sinks-first edge order; graph
   simulation is the same refinement with every bound 1;
-* **counting** (a session opened with an explicit ``oracle=``, and the
-  IncMatch seed): :func:`~repro.matching.bounded.refine_bits_to_fixpoint`,
+* **counting** (only a session opened with an explicit ``oracle=``):
+  :func:`~repro.matching.bounded.refine_bits_to_fixpoint`,
   the paper's Algorithm Match, which counts each candidate's support in
   the given oracle's balls, so the paper's matrix, BFS and 2-hop variants
   measure their own work.
 
-Attached update streams route to ``IncMatch``, and :meth:`match_many` runs
-a whole pattern workload over the shared read-only snapshot, dispatching
-whole queries to the session's persistent fork worker pool when the
-workload is worth it (:mod:`repro.engine.parallel`).  Without ``fork`` the
-batch runs serially.
+Attached update streams route to ``IncMatch``, whose standing matchers
+seed and re-pin their sets with the set-at-a-time refinement too, and
+:meth:`match_many` runs a whole pattern workload over the shared read-only
+snapshot, dispatching whole queries to the session's persistent fork
+worker pool when the workload is worth it (:mod:`repro.engine.parallel`).
+Without ``fork`` the batch runs serially.
 
 The free functions :func:`repro.matching.bounded.match` and
 :func:`repro.matching.simulation.graph_simulation` are thin wrappers that

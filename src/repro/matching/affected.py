@@ -17,12 +17,15 @@ appendix statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.distance.incremental import merge_affected_into
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.graph.pattern import Pattern, PatternNodeId
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.distance.incremental import InternedAffectedPairs
+    from repro.graph.compiled import NodeTable
 
 __all__ = ["AffectedArea"]
 
@@ -30,16 +33,64 @@ MatchPair = Tuple[PatternNodeId, NodeId]
 DistancePair = Tuple[NodeId, NodeId]
 
 
-@dataclass
 class AffectedArea:
-    """The affected areas of one incremental matching operation."""
+    """The affected areas of one incremental matching operation.
 
-    #: Node pairs whose distance changed, with (old, new) distances.
-    distance_changes: Dict[DistancePair, Tuple[float, float]] = field(default_factory=dict)
-    #: Match pairs removed from the relation.
-    removed_matches: Set[MatchPair] = field(default_factory=set)
-    #: Match pairs added to the relation.
-    added_matches: Set[MatchPair] = field(default_factory=set)
+    ``AFF1`` built by :meth:`from_interned` stays over interned ids until
+    :attr:`distance_changes` is first read; :attr:`aff1_size` counts it
+    undecoded.
+    """
+
+    __slots__ = ("_aff1", "_table", "removed_matches", "added_matches")
+
+    def __init__(
+        self,
+        distance_changes: Optional[Dict[DistancePair, Tuple[float, float]]] = None,
+        removed_matches: Optional[Set[MatchPair]] = None,
+        added_matches: Optional[Set[MatchPair]] = None,
+    ) -> None:
+        self._aff1 = {} if distance_changes is None else distance_changes
+        #: The interning table ``_aff1`` is keyed over; ``None`` once decoded.
+        self._table: Optional["NodeTable"] = None
+        #: Match pairs removed from the relation.
+        self.removed_matches: Set[MatchPair] = (
+            set() if removed_matches is None else removed_matches
+        )
+        #: Match pairs added to the relation.
+        self.added_matches: Set[MatchPair] = (
+            set() if added_matches is None else added_matches
+        )
+
+    @classmethod
+    def from_interned(
+        cls,
+        aff1: "InternedAffectedPairs",
+        table: "NodeTable",
+        removed_matches: Optional[Set[MatchPair]] = None,
+        added_matches: Optional[Set[MatchPair]] = None,
+    ) -> "AffectedArea":
+        """An area whose ``AFF1`` is keyed by ids interned in *table*, undecoded.
+
+        *table* is the snapshot's append-only
+        :class:`~repro.graph.compiled.NodeTable`, so the ids decode the same
+        however the snapshot is patched, re-interned or replaced later.
+        """
+        self = cls(None, removed_matches, added_matches)
+        self._aff1 = aff1
+        self._table = table
+        return self
+
+    @property
+    def distance_changes(self) -> Dict[DistancePair, Tuple[float, float]]:
+        """Node pairs whose distance changed, with (old, new) distances."""
+        table = self._table
+        if table is not None:
+            nodes = table.nodes
+            self._aff1 = {
+                (nodes[x], nodes[y]): change for (x, y), change in self._aff1.items()
+            }
+            self._table = None
+        return self._aff1
 
     # ------------------------------------------------------------------
     # sizes
@@ -48,7 +99,7 @@ class AffectedArea:
     @property
     def aff1_size(self) -> int:
         """``|AFF1|``: the number of node pairs whose distance changed."""
-        return len(self.distance_changes)
+        return len(self._aff1)
 
     @property
     def aff2_core_size(self) -> int:
@@ -125,6 +176,17 @@ class AffectedArea:
             "added": len(self.added_matches),
             "total": self.total_size,
         }
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AffectedArea):
+            return NotImplemented
+        return (
+            self.distance_changes == other.distance_changes
+            and self.removed_matches == other.removed_matches
+            and self.added_matches == other.added_matches
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return (

@@ -30,9 +30,9 @@ as a Python-int bitset over the interned ids of the compiled snapshot
   removal decrements the counts of the parents' candidates (``anc``) until
   a fixpoint.  With a precomputed distance matrix the cost is
   ``O(|V||E| + |E_p||V|^2 + |V_p||V|)``, the bound of Theorem 3.1.  It is
-  the route of a session opened with an explicit ``oracle=`` (the paper's
-  matrix, ``BFS`` and ``2-hop`` variants of Exp-2 measure their own
-  oracle) and the seed of the incremental matcher.
+  the route of a session opened with an explicit ``oracle=`` only (the
+  paper's matrix, ``BFS`` and ``2-hop`` variants of Exp-2 measure their
+  own oracle).
 
 :func:`naive_match` is an intentionally simple fixpoint implementation and
 the one reference every execution route is tested against.  Results decode
@@ -133,10 +133,9 @@ def refine_bits_to_fixpoint(
     """Refine *mat_bits* to the greatest fixpoint by counting supports.
 
     The paper's Algorithm Match, run against *oracle*: the route of a
-    session opened with an explicit ``oracle=`` and the seed of the
-    incremental matcher.  Candidate sets are Python-int bitsets; support
-    counting is a single ``&`` plus ``bit_count()`` against the oracle's
-    bitset reachability
+    session opened with an explicit ``oracle=``.  Candidate sets are
+    Python-int bitsets; support counting is a single ``&`` plus
+    ``bit_count()`` against the oracle's bitset reachability
     (:meth:`~repro.distance.oracle.DistanceOracle.descendants_within_bits`).
     Refines *mat_bits* in place and returns the removed
     ``(pattern node, interned data index)`` pairs.
@@ -161,8 +160,7 @@ def refine_bits_to_fixpoint(
     ``mat(u)`` empties — the overall match is then the empty relation and
     the remaining cascade is wasted work.  In that case *mat_bits* and the
     returned removals are **partial** (not the greatest fixpoint); callers
-    that consume the refined sets themselves (the incremental matcher) must
-    keep the default.
+    that consume the refined sets themselves must keep the default.
 
     *edge_order* (from :attr:`~repro.engine.planner.QueryPlan.edge_order`)
     switches the seed phase to the planner's selectivity order.  Chaotic
@@ -431,6 +429,7 @@ def refine_sets_to_fixpoint(
     edge_order=None,
     unit_bounds: bool = False,
     ancestor_memo=None,
+    stop_when_empty: bool = True,
 ) -> bool:
     """Refine *mat_bits* in place, a whole candidate set at a time.
 
@@ -443,7 +442,9 @@ def refine_sets_to_fixpoint(
     :func:`ancestors_of_set` of every child set and re-queues the node's
     parents whenever its set shrinks.  Returns ``False`` as soon as a set
     empties (the relation is then empty and *mat_bits* partial), else
-    ``True``.
+    ``True``.  Without *stop_when_empty* the refinement runs on to every
+    set's greatest fixpoint, empty sets included, as the incremental
+    matcher needs, and returns whether every set is nonempty.
 
     *ancestor_memo* (a :class:`~repro.distance.oracle.BoundedBitsCache`)
     keeps ``(bound, child set) -> anc_b(child set)`` across calls; each
@@ -459,7 +460,7 @@ def refine_sets_to_fixpoint(
         bound = 1 if unit_bounds else pattern.bound(u, child)
         children.setdefault(u, []).append((child, bound))
         parents.setdefault(child, []).append(u)
-    if not all(mat_bits.values()):
+    if stop_when_empty and not all(mat_bits.values()):
         return False
     version = compiled.version
     queue = deque(children)
@@ -482,13 +483,13 @@ def refine_sets_to_fixpoint(
                 break
         if bits != mat_bits[u]:
             mat_bits[u] = bits
-            if not bits:
+            if not bits and stop_when_empty:
                 return False
             for parent in parents.get(u, ()):
                 if parent not in queued:
                     queued.add(parent)
                     queue.append(parent)
-    return True
+    return stop_when_empty or all(mat_bits.values())
 
 
 def naive_match(pattern: Pattern, graph: DataGraph) -> MatchResult:

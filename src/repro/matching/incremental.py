@@ -40,12 +40,17 @@ The compiled core
 The matcher pins a :class:`~repro.graph.compiled.CompiledGraph` snapshot of
 the data graph, keeps ``mat(u)``/``can(u)`` as Python-int bitsets over the
 snapshot's interned id space, repairs distances in the interned store with
-the compiled ``UpdateM``/``UpdateBM`` procedures (CSR adjacency, two-sided
-affected-pair restriction), and propagates match changes with bitset support
-counting (one ``&`` plus ``bit_count()`` per check).  Results are decoded to
-original node ids only at the :class:`AffectedArea` boundary, and the
-:class:`MatchResult` of :attr:`IncrementalMatcher.match` only when it is
-read (see :meth:`MatchResult.from_bits`).
+the compiled ``UpdateM``/``UpdateBM`` procedures (CSR adjacency; each
+repair pays per changed distance), and propagates match changes with
+bitset support checks (one ``&`` per check).  The sets are seeded, and
+rebuilt at a re-pin, by the set-at-a-time refinement
+(:func:`~repro.matching.bounded.refine_sets_to_fixpoint`, run past empty
+sets to every set's greatest fixpoint), not by counting over the store.
+Match pairs are decoded to original node ids at the :class:`AffectedArea`
+boundary; its ``AFF1`` stays interned until
+:attr:`AffectedArea.distance_changes` is read, and the
+:class:`MatchResult` of :attr:`IncrementalMatcher.match` decodes only when
+it is read (see :meth:`MatchResult.from_bits`).
 
 Staleness and re-interning rules:
 
@@ -67,12 +72,13 @@ Staleness and re-interning rules:
   matcher's back, attribute updates) is detected through the graph's
   version counter and answered with a re-pin at the next operation: the
   current snapshot from the compile cache, its shared distance store and a
-  fresh fixpoint.  After another matcher's batch the store is the one that
-  matcher repaired, so nothing is rebuilt; only a store that is missing (a
-  recompiled snapshot) or stale (e.g. after ``MatchSession.patch_edge_*``)
-  is rebuilt with :func:`~repro.distance.incremental.build_store`.  Such
-  changes are repaired but not reported: ``AffectedArea``\\ s only cover
-  updates applied through the matcher.
+  fresh set-at-a-time fixpoint.  After another matcher's batch the store
+  is the one that matcher repaired, so nothing is rebuilt; only a store
+  that is missing (a recompiled snapshot) or stale (e.g. after
+  ``MatchSession.patch_edge_*``) is rebuilt with
+  :func:`~repro.distance.incremental.build_store`.  Such changes are
+  repaired but not reported: ``AffectedArea``\\ s only cover updates
+  applied through the matcher.
 """
 
 from __future__ import annotations
@@ -80,7 +86,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.distance.incremental import (
-    AffectedPairs,
     EdgeUpdate,
     InternedAffectedPairs,
     merge_affected_into,
@@ -92,7 +97,7 @@ from repro.graph.compiled import CompiledGraph, compile_graph, iter_bits
 from repro.graph.datagraph import DataGraph, NodeId
 from repro.graph.pattern import Pattern, PatternNodeId
 from repro.matching.affected import AffectedArea
-from repro.matching.bounded import candidate_bits, refine_bits_to_fixpoint
+from repro.matching.bounded import candidate_bits, refine_sets_to_fixpoint
 from repro.matching.match_result import MatchResult
 
 __all__ = ["IncrementalMatcher"]
@@ -176,10 +181,17 @@ class IncrementalMatcher:
         self._rebuild_match_sets()
 
     def _rebuild_match_sets(self) -> None:
-        """(Re)compute the greatest fixpoint from scratch (initialisation / fallback)."""
+        """(Re)compute the greatest fixpoint from scratch (initialisation / fallback).
+
+        Runs the set-at-a-time refinement over the snapshot's adjacency, not
+        the store: one reverse level search per child set instead of one
+        ball per candidate.  IncMatch keeps every ``mat(u)`` and ``can(u)``,
+        so the refinement runs on past an empty set to every set's greatest
+        fixpoint.
+        """
         self._mat_bits: Dict[PatternNodeId, int] = dict(self._cand_bits)
-        refine_bits_to_fixpoint(
-            self.pattern, self._store, self._compiled, self._mat_bits
+        refine_sets_to_fixpoint(
+            self.pattern, self._compiled, self._mat_bits, stop_when_empty=False
         )
         self._can_bits: Dict[PatternNodeId, int] = {
             u: self._cand_bits[u] & ~self._mat_bits[u] for u in self._cand_bits
@@ -221,12 +233,6 @@ class IncrementalMatcher:
         else:
             self._pin_snapshot()
         self._synced_version = graph.version
-
-    def _decode_aff1(self, aff1: InternedAffectedPairs) -> AffectedPairs:
-        node_of = self._compiled.node_of
-        return {
-            (node_of(x), node_of(y)): change for (x, y), change in aff1.items()
-        }
 
     def _decode_match_pairs(
         self, pairs: Set[Tuple[PatternNodeId, int]]
@@ -297,10 +303,11 @@ class IncrementalMatcher:
         added = self._process_distance_decreases(aff1, touched_tails=insert_tails)
         # A pair dropped by the removal phase and recovered by the addition
         # phase is not part of AFF2: the net match change is what counts.
-        return AffectedArea(
-            distance_changes=self._decode_aff1(aff1),
-            removed_matches=self._decode_match_pairs(removed - added),
-            added_matches=self._decode_match_pairs(added - removed),
+        return AffectedArea.from_interned(
+            aff1,
+            self._compiled.node_table,
+            self._decode_match_pairs(removed - added),
+            self._decode_match_pairs(added - removed),
         )
 
     # ------------------------------------------------------------------
@@ -439,14 +446,18 @@ class IncrementalMatcher:
         plus its target when an edge leads back to the source (the pair
         closes a cycle through the target), plus *touched_tails*.
         """
-        has_edge = self._compiled.has_edge_indices
-        sources: Set[int] = set(touched_tails)
-        for (v_source, v_target), (old, new) in aff1.items():
-            if (new > old) == grew:
-                sources.add(v_source)
-                if has_edge(v_target, v_source):
-                    sources.add(v_target)
-        return sources
+        changed = {
+            v_source for (v_source, _), (old, new) in aff1.items() if (new > old) == grew
+        }
+        # A pair (x, y) closes a cycle through y when y is a predecessor of x.
+        predecessors = self._compiled.predecessors_indices
+        closing = set()
+        for v_source in changed:
+            for v_target in predecessors(v_source):
+                change = aff1.get((v_source, v_target))
+                if change is not None and (change[1] > change[0]) == grew:
+                    closing.add(v_target)
+        return changed | closing | set(touched_tails)
 
     def _check_dag_for(self, updates: Sequence[EdgeUpdate]) -> None:
         """Refuse, before anything is touched, a batch a cyclic pattern cannot take.
@@ -502,8 +513,9 @@ class IncrementalMatcher:
                 removed.add((u, v))
             for v in iter_bits(new_bits & ~before):
                 added.add((u, v))
-        return AffectedArea(
-            distance_changes=self._decode_aff1(aff1),
-            removed_matches=self._decode_match_pairs(removed),
-            added_matches=self._decode_match_pairs(added),
+        return AffectedArea.from_interned(
+            aff1,
+            self._compiled.node_table,
+            self._decode_match_pairs(removed),
+            self._decode_match_pairs(added),
         )
